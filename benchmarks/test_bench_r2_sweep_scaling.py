@@ -20,15 +20,12 @@ via git stash; report digests byte-identical across both trees):
 The win stacks three caches: the per-process micro-workload memo
 (topology/TM built once, not per trial), the content-addressed LP
 model cache (constraint matrix assembled once per workload), and the
-per-subset solve memo inside the model.  ``REPRO_MCF_WARM=off`` keeps
-the memo structure but sends every LP through the original cold
-solver, which is what :func:`test_bench_r2_warm_kernels` compares.
+per-subset solve memo inside the model.
 """
 
 import os
 import time
 
-from repro.netflow.model import model_cache
 from repro.sweeps import Axis, SweepRunner, SweepSpec
 
 TRIALS = 32
@@ -94,40 +91,3 @@ def test_bench_r2_sweep_scaling(benchmark, report, tmp_path):
     if (os.cpu_count() or 1) >= WORKERS:
         assert speedup >= 2.5
 
-
-def test_bench_r2_warm_kernels(report, monkeypatch):
-    """Warm LP kernels vs the kill switch, identical aggregates.
-
-    Both runs start from a cleared model cache; the ``off`` run keeps
-    the caching *structure* (workload memo, subset memo) but pays the
-    original cold solver for every LP, so the measured ratio is a
-    conservative lower bound on the full before/after speedup in the
-    module docstring.
-    """
-    grid = SweepSpec(
-        axes=(Axis("seed", tuple(range(8))),),
-        base={"preset": "micro", "constraints": "1", "method": "add-prune"},
-    )
-
-    monkeypatch.setenv("REPRO_MCF_WARM", "off")
-    model_cache().clear()
-    start = time.perf_counter()
-    cold = SweepRunner("figure2", workers=0).run(grid)
-    cold_s = time.perf_counter() - start
-
-    monkeypatch.delenv("REPRO_MCF_WARM")
-    model_cache().clear()
-    start = time.perf_counter()
-    warm = SweepRunner("figure2", workers=0).run(grid)
-    warm_s = time.perf_counter() - start
-
-    ratio = cold_s / warm_s if warm_s > 0 else float("inf")
-    report(
-        f"8-trial figure2 micro grid: kill-switch {cold_s:.2f}s, "
-        f"warm {warm_s:.2f}s ({ratio:.1f}x)"
-    )
-    # The warm path must change the bytes of nothing…
-    assert warm.report_json(group_by=[]) == cold.report_json(group_by=[])
-    # …and must not be slower than the cold solver it replaces (locally
-    # ~2x; generous floor to absorb CI noise).
-    assert ratio >= 1.1

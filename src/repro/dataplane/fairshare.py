@@ -13,7 +13,7 @@ the fairness definition in property tests.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 
@@ -28,8 +28,6 @@ def max_min_allocation(
     demands: Mapping[str, float],
     weights: Mapping[str, float],
     capacities: Mapping[str, float],
-    *,
-    kernel: str = "vector",
 ) -> Dict[str, float]:
     """Weighted max-min rates for flows over shared links.
 
@@ -37,14 +35,13 @@ def max_min_allocation(
     and ``weights`` are per flow; ``capacities`` per link.  Flows may
     cross a link at most once (paths, not walks).  Returns flow id → rate.
 
-    ``kernel`` selects the water-filling implementation: ``"vector"``
-    (default) runs each filling iteration as numpy array operations over
-    arrays-of-structs flow/link state; ``"scalar"`` is the original
-    per-flow Python loop, kept as the executable specification.  The two
-    are bit-identical (the vector kernel only uses order-preserving
-    accumulation — ``np.add.at``/``np.subtract.at`` — and operations
-    like min/``x + 0.0`` whose floats do not depend on evaluation
-    order), which the regression suite asserts case by case.
+    Each filling iteration runs as numpy array operations over
+    arrays-of-structs flow/link state.  The result is bit-identical to
+    the per-flow Python loop kept as the executable specification in
+    ``tests/dataplane/fairshare_spec.py``: accumulation is only
+    order-preserving (``np.add.at``/``np.subtract.at``), and min or
+    ``x + 0.0`` do not depend on evaluation order.  The regression suite
+    asserts this case by case.
     """
     for fid, path in flow_paths.items():
         if not path:
@@ -62,74 +59,6 @@ def max_min_allocation(
         if cap <= 0:
             raise FlowError(f"link {lid} needs positive capacity")
 
-    if kernel == "vector":
-        return _fill_vector(flow_paths, demands, weights, capacities)
-    if kernel != "scalar":
-        raise FlowError(f"unknown fairshare kernel {kernel!r}; expected 'vector' or 'scalar'")
-
-    rates: Dict[str, float] = {fid: 0.0 for fid in flow_paths}
-    frozen: Dict[str, bool] = {fid: False for fid in flow_paths}
-    residual: Dict[str, float] = dict(capacities)
-
-    flows_on_link: Dict[str, List[str]] = {lid: [] for lid in capacities}
-    for fid, path in flow_paths.items():
-        for lid in path:
-            flows_on_link[lid].append(fid)
-
-    while not all(frozen.values()):
-        # The largest uniform water-level increment before something binds.
-        delta = float("inf")
-        for lid, cap_left in residual.items():
-            active_weight = sum(
-                weights[fid] for fid in flows_on_link[lid] if not frozen[fid]
-            )
-            if active_weight > 0:
-                delta = min(delta, cap_left / active_weight)
-        for fid in flow_paths:
-            if not frozen[fid]:
-                head = (demands[fid] - rates[fid]) / weights[fid]
-                delta = min(delta, head)
-        if delta == float("inf"):
-            break  # no unfrozen flow crosses any capacitated link
-        delta = max(delta, 0.0)
-
-        for fid in flow_paths:
-            if frozen[fid]:
-                continue
-            increment = delta * weights[fid]
-            rates[fid] += increment
-            for lid in flow_paths[fid]:
-                residual[lid] -= increment
-
-        # Freeze demand-satisfied flows and flows on saturated links.
-        for fid in flow_paths:
-            if frozen[fid]:
-                continue
-            if rates[fid] >= demands[fid] - _EPS:
-                rates[fid] = demands[fid]
-                frozen[fid] = True
-        for lid, cap_left in residual.items():
-            if cap_left <= _EPS:
-                for fid in flows_on_link[lid]:
-                    frozen[fid] = True
-
-    return rates
-
-
-def _fill_vector(
-    flow_paths: Mapping[str, Sequence[str]],
-    demands: Mapping[str, float],
-    weights: Mapping[str, float],
-    capacities: Mapping[str, float],
-) -> Dict[str, float]:
-    """Numpy water-filling over arrays-of-structs flow/link state.
-
-    Bit-identical to the scalar loop: per-link weight sums and residual
-    updates go through ``np.add.at``/``np.subtract.at``, which apply
-    their operands unbuffered in index order — the same flow-major order
-    the scalar loop accumulates in — and frozen flows contribute exact
-    ``0.0`` terms, which never perturb an IEEE sum.
-    """
     fids = list(flow_paths)
     lids = list(capacities)
     n_flows, n_links = len(fids), len(lids)
@@ -140,7 +69,7 @@ def _fill_vector(
     w = np.array([weights[fid] for fid in fids])
     d = np.array([demands[fid] for fid in fids])
     # Flow/link incidence pairs in flow-major, path order: exactly the
-    # order the scalar loop touches links in.
+    # order the specification's loop touches links in.
     pair_flow: List[int] = []
     pair_link: List[int] = []
     for i, fid in enumerate(fids):

@@ -24,10 +24,10 @@ from typing import Callable, Dict, FrozenSet, Iterable, Optional
 
 from repro.exceptions import FlowError
 from repro.topology.graph import Network
-from repro.netflow.mcf import max_concurrent_flow
+from repro.netflow.mcf import MCFResult
 from repro.netflow.model import get_model
 from repro.netflow.pathmcf import PathMcfModel
-from repro.netflow.routing import route_greedy_multipath, route_shortest_path
+from repro.netflow.routing import RoutingOutcome, route_greedy_multipath, route_shortest_path
 from repro.traffic.matrix import TrafficMatrix
 
 
@@ -47,7 +47,13 @@ class FeasibilityResult:
 
 
 class BaseOracle:
-    """Shared caching machinery for all oracles."""
+    """Shared caching machinery for all oracles.
+
+    Engines implement :meth:`_evaluate`; :meth:`check` memoizes it per
+    link subset and keeps the counters.  Every engine raises
+    :class:`~repro.exceptions.UnknownLinkError` for a link id the
+    network does not have.
+    """
 
     #: Human-readable engine name (used in reports and ablation benches).
     name: str = "base"
@@ -68,16 +74,34 @@ class BaseOracle:
             self.cache_hits += 1
             return cached
         self.evaluations += 1
-        subnet = self.network.restricted_to_links(key)
-        result = self._evaluate(subnet)
+        result = self._evaluate(key)
         self._cache[key] = result
         return result
 
     def feasible(self, link_ids: Iterable[str]) -> bool:
         return self.check(link_ids).feasible
 
-    def _evaluate(self, subnet: Network) -> FeasibilityResult:
+    def _evaluate(self, key: FrozenSet[str]) -> FeasibilityResult:
+        """The uncached verdict for one subset."""
         raise NotImplementedError
+
+
+def _lp_verdict(solved: MCFResult) -> FeasibilityResult:
+    return FeasibilityResult(
+        feasible=solved.feasible, headroom=solved.lam, link_loads=solved.link_loads
+    )
+
+
+def _routed_verdict(outcome: RoutingOutcome, subnet: Network) -> FeasibilityResult:
+    max_util = outcome.max_utilization(subnet)
+    headroom = (1.0 / max_util) if max_util > 0 else float("inf")
+    if not outcome.feasible:
+        headroom = min(headroom, 0.0)
+    return FeasibilityResult(
+        feasible=outcome.feasible,
+        headroom=headroom,
+        link_loads=outcome.link_load_gbps if outcome.feasible else None,
+    )
 
 
 class MCFOracle(BaseOracle):
@@ -86,56 +110,25 @@ class MCFOracle(BaseOracle):
     Solves run on a warm :class:`repro.netflow.model.McfModel` shared
     process-wide by workload content: the 65+ subset queries a single
     selection makes — and every selection over the same (topology, TM)
-    after it — reuse one pre-assembled LP instead of rebuilding scipy's
-    model from scratch per call.  Results are bit-identical to the
-    from-scratch path (property-tested).  With ``short_circuit`` (the
-    default), subsets whose demand provably exceeds a node's incident
-    cut capacity are answered without any LP solve; such verdicts carry
+    after it — reuse one pre-assembled LP instead of rebuilding it per
+    call.  Subsets whose demand provably exceeds a node's incident cut
+    capacity are answered without any LP solve; such verdicts carry
     ``headroom=0.0`` rather than the exact (sub-1) λ, which no consumer
     of infeasible verdicts reads.
     """
 
     name = "mcf"
 
-    def __init__(
-        self,
-        network: Network,
-        tm: TrafficMatrix,
-        *,
-        short_circuit: bool = True,
-    ) -> None:
+    def __init__(self, network: Network, tm: TrafficMatrix) -> None:
         super().__init__(network, tm)
-        self.short_circuit = short_circuit
         self._model = get_model(network, tm)
         self.shortcircuits = 0
 
-    def check(self, link_ids: Iterable[str]) -> FeasibilityResult:
-        key = frozenset(link_ids)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
-        self.evaluations += 1
-        if self.short_circuit and self._model.cut_infeasible(key):
+    def _evaluate(self, key: FrozenSet[str]) -> FeasibilityResult:
+        if self._model.cut_infeasible(key):
             self.shortcircuits += 1
-            result = FeasibilityResult(feasible=False, headroom=0.0, link_loads=None)
-        else:
-            solved = self._model.solve(key)
-            result = FeasibilityResult(
-                feasible=solved.feasible,
-                headroom=solved.lam,
-                link_loads=solved.link_loads,
-            )
-        self._cache[key] = result
-        return result
-
-    def _evaluate(self, subnet: Network) -> FeasibilityResult:
-        result = max_concurrent_flow(subnet, self.tm)
-        return FeasibilityResult(
-            feasible=result.feasible,
-            headroom=result.lam,
-            link_loads=result.link_loads,
-        )
+            return FeasibilityResult(feasible=False, headroom=0.0, link_loads=None)
+        return _lp_verdict(self._model.solve(key))
 
 
 class PathOracle(BaseOracle):
@@ -168,24 +161,8 @@ class PathOracle(BaseOracle):
     def exact_fallbacks(self) -> int:
         return self._model.exact_fallbacks
 
-    def check(self, link_ids: Iterable[str]) -> FeasibilityResult:
-        key = frozenset(link_ids)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
-        self.evaluations += 1
-        solved = self._model.solve(key)
-        result = FeasibilityResult(
-            feasible=solved.feasible,
-            headroom=solved.lam,
-            link_loads=solved.link_loads,
-        )
-        self._cache[key] = result
-        return result
-
-    def _evaluate(self, subnet: Network) -> FeasibilityResult:
-        raise NotImplementedError("PathOracle overrides check() directly")
+    def _evaluate(self, key: FrozenSet[str]) -> FeasibilityResult:
+        return _lp_verdict(self._model.solve(key))
 
 
 class GreedyOracle(BaseOracle):
@@ -203,19 +180,12 @@ class GreedyOracle(BaseOracle):
         super().__init__(network, tm)
         self.max_paths_per_demand = max_paths_per_demand
 
-    def _evaluate(self, subnet: Network) -> FeasibilityResult:
+    def _evaluate(self, key: FrozenSet[str]) -> FeasibilityResult:
+        subnet = self.network.restricted_to_links(key)
         outcome = route_greedy_multipath(
             subnet, self.tm, max_paths_per_demand=self.max_paths_per_demand
         )
-        max_util = outcome.max_utilization(subnet)
-        headroom = (1.0 / max_util) if max_util > 0 else float("inf")
-        if not outcome.feasible:
-            headroom = min(headroom, 0.0)
-        return FeasibilityResult(
-            feasible=outcome.feasible,
-            headroom=headroom,
-            link_loads=outcome.link_load_gbps if outcome.feasible else None,
-        )
+        return _routed_verdict(outcome, subnet)
 
 
 class ShortestPathOracle(BaseOracle):
@@ -223,17 +193,9 @@ class ShortestPathOracle(BaseOracle):
 
     name = "sp"
 
-    def _evaluate(self, subnet: Network) -> FeasibilityResult:
-        outcome = route_shortest_path(subnet, self.tm)
-        max_util = outcome.max_utilization(subnet)
-        headroom = (1.0 / max_util) if max_util > 0 else float("inf")
-        if not outcome.feasible:
-            headroom = min(headroom, 0.0)
-        return FeasibilityResult(
-            feasible=outcome.feasible,
-            headroom=headroom,
-            link_loads=outcome.link_load_gbps if outcome.feasible else None,
-        )
+    def _evaluate(self, key: FrozenSet[str]) -> FeasibilityResult:
+        subnet = self.network.restricted_to_links(key)
+        return _routed_verdict(route_shortest_path(subnet, self.tm), subnet)
 
 
 _ORACLES: Dict[str, Callable[..., BaseOracle]] = {

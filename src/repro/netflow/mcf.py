@@ -18,24 +18,25 @@ Formulation (node-arc, commodities aggregated by source):
 Aggregating by source keeps the variable count at |arcs| × |sources|
 instead of |arcs| × |pairs|, which is what makes exact feasibility
 affordable for the auction's inner loop at benchmark scale.
+
+The LP is assembled and solved in one place,
+:class:`repro.netflow.model.McfModel`; this module holds the result
+type and the one-shot entry points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
-
-from repro.exceptions import FlowError
-from repro.obs import metrics, span
 from repro.topology.graph import Network
 from repro.traffic.matrix import TrafficMatrix
 
 #: λ is capped at this value so the LP stays bounded even for tiny TMs.
 LAMBDA_CAP = 64.0
+
+#: Subset results each warm model (node-arc or path LP) keeps memoized.
+MEMO_SIZE = 8192
 
 
 @dataclass(frozen=True)
@@ -64,26 +65,18 @@ class MCFResult:
         return self.lam - 1.0
 
 
-def _directed_arcs(network: Network) -> List[Tuple[str, str, str, float, float]]:
-    """Expand undirected links to directed arcs.
-
-    Returns tuples (arc_id, tail, head, capacity, length).
-    """
-    arcs = []
-    for link in network.iter_links():
-        arcs.append((f"{link.id}>f", link.u, link.v, link.capacity_gbps, link.length_km))
-        arcs.append((f"{link.id}>r", link.v, link.u, link.capacity_gbps, link.length_km))
-    return arcs
-
-
 def max_concurrent_flow(
     network: Network,
     tm: TrafficMatrix,
     *,
-    lambda_cap: float = LAMBDA_CAP,
     keep_flows: bool = False,
 ) -> MCFResult:
     """Solve for the max concurrent flow λ* of ``tm`` on ``network``.
+
+    A one-shot, uncached ``McfModel(network, tm).solve()``.  The LP's
+    arcs follow link-id order whatever order the links were added in,
+    so the result depends only on the network's content: every field
+    equals the solve on ``network.restricted_to_links(network.link_ids)``.
 
     Raises :class:`FlowError` only on solver breakdown; an unreachable
     demand simply yields λ* = 0 (infeasible).  ``keep_flows=True``
@@ -91,150 +84,9 @@ def max_concurrent_flow(
     invariant suite (:mod:`repro.validate.invariants`) can audit flow
     conservation and capacity respect against the LP's own solution.
     """
-    tm.validate_against(network.node_ids)
-    demands = [(pair, v) for pair, v in tm.pairs() if v > 0]
-    if not demands:
-        return MCFResult(lam=lambda_cap, feasible=True, status=0, message="empty TM")
+    from repro.netflow.model import McfModel
 
-    sources = sorted({src for (src, _), _ in demands})
-    nodes = network.node_ids
-    node_idx = {n: i for i, n in enumerate(nodes)}
-    src_idx = {s: i for i, s in enumerate(sources)}
-    arcs = _directed_arcs(network)
-    n_arcs, n_src, n_nodes = len(arcs), len(sources), len(nodes)
-    if n_arcs == 0:
-        return MCFResult(lam=0.0, feasible=False, status=2, message="no links")
-
-    with span("mcf.build", arcs=n_arcs, sources=n_src, nodes=n_nodes):
-        # Net supply b(s, v).
-        b = np.zeros((n_src, n_nodes))
-        for (src, dst), value in demands:
-            b[src_idx[src], node_idx[src]] += value
-            b[src_idx[src], node_idx[dst]] -= value
-
-        # Variable layout: x[a, s] at index a * n_src + s; λ last.
-        n_x = n_arcs * n_src
-        lam_col = n_x
-
-        eq_rows: List[int] = []
-        eq_cols: List[int] = []
-        eq_vals: List[float] = []
-        # Conservation row index: s * n_nodes + v.
-        for a, (_aid, tail, head, _cap, _len) in enumerate(arcs):
-            ti, hi = node_idx[tail], node_idx[head]
-            for s in range(n_src):
-                col = a * n_src + s
-                eq_rows.append(s * n_nodes + ti)
-                eq_cols.append(col)
-                eq_vals.append(1.0)
-                eq_rows.append(s * n_nodes + hi)
-                eq_cols.append(col)
-                eq_vals.append(-1.0)
-        # -λ·b term.
-        for s in range(n_src):
-            for v in range(n_nodes):
-                if b[s, v] != 0.0:
-                    eq_rows.append(s * n_nodes + v)
-                    eq_cols.append(lam_col)
-                    eq_vals.append(-b[s, v])
-        a_eq = coo_matrix(
-            (eq_vals, (eq_rows, eq_cols)), shape=(n_src * n_nodes, n_x + 1)
-        ).tocsr()
-        b_eq = np.zeros(n_src * n_nodes)
-
-        ub_rows: List[int] = []
-        ub_cols: List[int] = []
-        ub_vals: List[float] = []
-        caps = np.empty(n_arcs)
-        for a, (_aid, _t, _h, cap, _len) in enumerate(arcs):
-            caps[a] = cap
-            for s in range(n_src):
-                ub_rows.append(a)
-                ub_cols.append(a * n_src + s)
-                ub_vals.append(1.0)
-        a_ub = coo_matrix((ub_vals, (ub_rows, ub_cols)), shape=(n_arcs, n_x + 1)).tocsr()
-
-        c = np.zeros(n_x + 1)
-        c[lam_col] = -1.0
-        bounds = [(0, None)] * n_x + [(0, lambda_cap)]
-
-    with span("mcf.solve", variables=n_x + 1):
-        metrics().inc("mcf.solves")
-        res = linprog(
-            c,
-            A_ub=a_ub,
-            b_ub=caps,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=bounds,
-            method="highs",
-        )
-    return _finish_result(res.x, res.status, res.message, arcs, sources, keep_flows)
-
-
-def _finish_result(
-    x,
-    status: int,
-    message: str,
-    arcs: List[Tuple[str, str, str, float, float]],
-    sources: List[str],
-    keep_flows: bool,
-) -> MCFResult:
-    """Turn a raw LP solution into an :class:`MCFResult`.
-
-    Shared by the from-scratch path above and the warm-started
-    :class:`repro.netflow.model.McfModel` so both produce bit-identical
-    results from identical solver outputs.
-    """
-    if status not in (0, 3):  # 3 = unbounded cannot happen with the cap
-        metrics().inc("mcf.failures")
-        raise FlowError(f"MCF solver failed: status={status} {message}")
-    n_arcs, n_src = len(arcs), len(sources)
-    n_x = n_arcs * n_src
-    lam_col = n_x
-    lam = float(x[lam_col]) if x is not None else 0.0
-
-    # Numerical tolerance: HiGHS returns e.g. 0.9999999997 for exactly-tight
-    # instances.
-    feasible = lam >= 1.0 - 1e-7
-
-    flow_km = 0.0
-    link_loads: Optional[Dict[str, float]] = None
-    arcs_out: Optional[Tuple[Tuple[str, str, str, float], ...]] = None
-    arc_flows: Optional[Dict[Tuple[str, str], float]] = None
-    with span("mcf.extract"):
-        if keep_flows and x is not None:
-            arcs_out = tuple((aid, tail, head, cap) for aid, tail, head, cap, _l in arcs)
-            arc_flows = {}
-            for a, (aid, _t, _h, _c, _l) in enumerate(arcs):
-                for s, source in enumerate(sources):
-                    value = float(x[a * n_src + s])
-                    if value > 1e-12:
-                        arc_flows[(aid, source)] = value
-        if x is not None:
-            lengths = np.repeat([arc[4] for arc in arcs], n_src)
-            flow_km = float(np.dot(x[:n_x], lengths))
-            if lam > 1.0:
-                flow_km /= lam  # report at the TM's own scale
-            if feasible:
-                scale = 1.0 / lam if lam > 1.0 else 1.0
-                per_arc = x[:n_x].reshape(n_arcs, n_src).sum(axis=1) * scale
-                link_loads = {}
-                for a, (aid, _t, _h, _c, _l) in enumerate(arcs):
-                    if per_arc[a] > 1e-9:
-                        lid = aid[:-2]  # strip the ">f"/">r" direction suffix
-                        link_loads[lid] = link_loads.get(lid, 0.0) + float(per_arc[a])
-
-    return MCFResult(
-        lam=lam,
-        feasible=feasible,
-        status=status,
-        message=message,
-        flow_km=flow_km,
-        link_loads=link_loads,
-        arcs=arcs_out,
-        arc_flows=arc_flows,
-    )
+    return McfModel(network, tm).solve(keep_flows=keep_flows)
 
 
 def mcf_feasible(network: Network, tm: TrafficMatrix) -> bool:

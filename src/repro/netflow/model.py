@@ -1,96 +1,80 @@
-"""Warm-started max-concurrent-flow solving: build the LP once, solve subsets.
+"""Max-concurrent-flow solving: build the LP once, solve subsets.
 
 The auction's feasibility oracle asks the *same* (topology, TM) question
 for dozens of overlapping link subsets — bench ab1 counts 65+ LP solves
 per selection, most differing from the previous one by a single dropped
-link.  The from-scratch path in :mod:`repro.netflow.mcf` re-derives the
-node/source indexing, re-assembles the sparse constraint matrix from
-Python lists, and re-enters scipy's ``linprog`` front end (input
-validation, bounds canonicalization, COO→CSR→vstack→CSC conversion) for
-every one of those solves; profiling shows that wrapper overhead dwarfs
-the actual HiGHS runtime roughly 4:1 at micro-benchmark scale.
+link.  Assembling each of those LPs from Python lists and re-entering
+scipy's LP front end (input validation, bounds canonicalization,
+COO→CSR→vstack→CSC conversion) costs roughly four times the actual
+HiGHS runtime at micro-benchmark scale.
 
 :class:`McfModel` builds everything that does not depend on the link
 subset exactly once:
 
 - the sorted-link directed-arc table (the same arc order
-  ``Network.restricted_to_links`` produces, which is what makes warm
-  results bit-identical to from-scratch results — see below);
+  ``Network.restricted_to_links`` produces, so a subset solve equals a
+  solve of the restricted subnet — see below);
 - node/source index maps and the net-supply matrix ``b(s, v)``;
 - per-arc row/value templates for the canonical CSC form of the stacked
   ``[A_ub; A_eq]`` constraint matrix.
 
 A subset solve then *slices* those templates with numpy, producing byte-
-for-byte the same CSC arrays scipy's own pipeline would build for
-``max_concurrent_flow(network.restricted_to_links(subset), tm)``, and
-hands them straight to HiGHS via scipy's private ``_highs_wrapper`` —
-the identical solver entry point ``linprog(method="highs")`` bottoms out
-in, with the identical options dictionary.  Identical inputs to the same
-deterministic solver give identical outputs, so warm solves are
-*bit-identical* to cold ones; ``tests/property/test_prop_warm_mcf.py``
-asserts this over hundreds of seeded cases.
-
-Because scipy's ``_highs_wrapper`` is a private API, the fast path is
-best-effort: if the import shape ever changes, or ``REPRO_MCF_WARM=off``
-is set in the environment, every solve transparently falls back to the
-exact from-scratch path (on the sorted restricted subnet, so fallback
-and fast path agree bit-for-bit too).
+for-byte the same CSC arrays scipy's LP front end (``method="highs"``)
+would build for the restricted subnet, and hands them straight to HiGHS
+through scipy's bundled bindings (``scipy.optimize._highspy``, scipy
+>= 1.15) with the identical options.  Identical inputs to the same
+deterministic solver give identical outputs, so results are
+*bit-identical* to solving the restricted subnet through that front
+end; ``tests/property/test_prop_warm_mcf.py`` asserts this over
+hundreds of seeded cases against the reference assembly kept in
+``tests/netflow/reference_mcf.py``.
 
 :class:`ModelCache` keys models by *content* (node order, sorted link
-attributes, TM entries, λ-cap) rather than object identity, so freshly
-rebuilt but identical workloads — e.g. every trial of the figure2 micro
-grid — share one model per process, and fork-started pool workers
-inherit the parent's warmed cache read-only.
+attributes, TM entries) rather than object identity, so freshly rebuilt
+but identical workloads — e.g. every trial of the figure2 micro grid —
+share one model per process, and fork-started pool workers inherit the
+parent's warmed cache read-only.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
+import scipy.optimize._highspy._core as _h  # type: ignore
+from scipy.optimize._highspy._core import (  # type: ignore
+    HighsDebugLevel,
+    kHighsInf,
+    simplex_constants as _simplex_constants,
+)
+from scipy.optimize._linprog_highs import _highs_to_scipy_status_message  # type: ignore
+from scipy.optimize._linprog_util import _check_result  # type: ignore
 
-from repro.exceptions import UnknownLinkError
+from repro.exceptions import FlowError, UnknownLinkError
 from repro.obs import metrics, span
-from repro.netflow.mcf import LAMBDA_CAP, MCFResult, _finish_result, max_concurrent_flow
+from repro.netflow.mcf import LAMBDA_CAP, MEMO_SIZE, MCFResult
 from repro.topology.graph import Network
 from repro.traffic.matrix import TrafficMatrix
-
-try:  # pragma: no cover - exercised indirectly by every warm solve
-    import scipy.optimize._highspy._core as _h  # type: ignore
-    from scipy.optimize._highspy._core import (  # type: ignore
-        HighsDebugLevel,
-        kHighsInf,
-        simplex_constants as _simplex_constants,
-    )
-    from scipy.optimize._linprog_highs import _highs_to_scipy_status_message  # type: ignore
-    from scipy.optimize._linprog_util import _check_result  # type: ignore
-
-    _FAST_PATH_AVAILABLE = True
-except Exception:  # pragma: no cover - environment without scipy internals
-    _FAST_PATH_AVAILABLE = False
-    _h = None
-    kHighsInf = float("inf")
 
 _HIGHS_OPTIONS_OBJ = None
 
 
 def _highs_options():
-    """A prebuilt ``HighsOptions`` matching ``linprog(method="highs")``.
+    """A prebuilt ``HighsOptions`` equal to the one scipy's LP front end builds.
 
-    ``linprog`` re-validates and re-applies the same option values on
+    The front end re-validates and re-applies the same option values on
     every call (a measurable fraction of small-LP solve time); the
     resulting ``HighsOptions`` contents are constant, so build the object
     once per process.  ``Highs.passOptions`` copies it, and each solve
     uses a fresh ``Highs`` instance, so no solver state (e.g. a previous
-    basis) can leak between solves — that is what keeps warm solves
-    bit-identical to cold ones.
+    basis) can leak between solves — that is what keeps every solve
+    independent of the subsets solved before it.
     """
     global _HIGHS_OPTIONS_OBJ
     if _HIGHS_OPTIONS_OBJ is None:
         opts = _h.HighsOptions()
-        # The non-default entries linprog's options dict actually sets
+        # The non-default entries scipy's options dict actually sets
         # (None-valued entries and "sense" are skipped by its wrapper;
         # bool presolve is translated to the "on"/"off" string form).
         opts.presolve = "on"
@@ -167,10 +151,6 @@ def _run_highs(c, indptr, indices, data, lhs, rhs, lb, ub):
     )
     return res
 
-#: Environment kill-switch: set REPRO_MCF_WARM=off to force every solve
-#: through the from-scratch ``linprog`` path (results are identical; this
-#: exists for triage and for the byte-identity test itself).
-_KILL_SWITCH_ENV = "REPRO_MCF_WARM"
 
 #: Relative demand margin for the cut-capacity short circuit.  The LP
 #: calls a subset feasible when λ >= 1 - 1e-7; the short circuit only
@@ -178,10 +158,6 @@ _KILL_SWITCH_ENV = "REPRO_MCF_WARM"
 #: below 1 - 1e-4, comfortably clear of both that verdict threshold and
 #: HiGHS's 1e-7 feasibility tolerance, so it can never contradict the LP.
 _CUT_MARGIN = 1e-4
-
-
-def _warm_enabled() -> bool:
-    return os.environ.get(_KILL_SWITCH_ENV, "").lower() not in ("off", "0", "no", "false")
 
 
 class McfModel:
@@ -195,23 +171,17 @@ class McfModel:
     subset twice.
     """
 
-    def __init__(
-        self,
-        network: Network,
-        tm: TrafficMatrix,
-        *,
-        lambda_cap: float = LAMBDA_CAP,
-        memo_size: int = 8192,
-    ) -> None:
+    #: Always 0: every solve goes straight to HiGHS.  Kept because the
+    #: benchmark (``bench/``) reads it to check exactly that.
+    fallback_solves = 0
+
+    def __init__(self, network: Network, tm: TrafficMatrix) -> None:
         tm.validate_against(network.node_ids)
         self.network = network
         self.tm = tm
-        self.lambda_cap = float(lambda_cap)
-        self.memo_size = int(memo_size)
         self._memo: "OrderedDict[Tuple[FrozenSet[str], bool], MCFResult]" = OrderedDict()
         self.memo_hits = 0
         self.solves = 0
-        self.fallback_solves = 0
         self.cut_shortcircuits = 0
 
         demands = [(pair, v) for pair, v in tm.pairs() if v > 0]
@@ -229,8 +199,7 @@ class McfModel:
         n_links = len(links)
 
         with span("mcf.model_build", links=n_links, sources=self._n_src, nodes=self._n_nodes):
-            # Directed arcs in sorted-link, forward-then-reverse order: the
-            # exact order _directed_arcs() yields on a restricted subnet.
+            # Directed arcs in sorted-link, forward-then-reverse order.
             self._arc_meta: List[Tuple[str, str, str, float, float]] = []
             for link in links:
                 self._arc_meta.append(
@@ -245,16 +214,14 @@ class McfModel:
             # conservation rows of the arc's endpoints.  Canonical CSC
             # needs rows ascending within the column, so store the
             # endpoint rows pre-sorted with their matching +-1 values.
+            # Endpoints always differ: ``Link`` rejects self-loops.
             self._arc_row_lo = np.empty(n_arcs, dtype=np.int32)
             self._arc_row_hi = np.empty(n_arcs, dtype=np.int32)
             self._arc_val_lo = np.empty(n_arcs)
             self._arc_val_hi = np.empty(n_arcs)
             self._arc_cap = np.empty(n_arcs)
-            self._has_self_loop = False
             for a, (_aid, tail, head, cap, _length) in enumerate(self._arc_meta):
                 ti, hi = node_idx[tail], node_idx[head]
-                if ti == hi:
-                    self._has_self_loop = True
                 self._arc_cap[a] = cap
                 if ti <= hi:
                     self._arc_row_lo[a], self._arc_val_lo[a] = ti, 1.0
@@ -317,19 +284,14 @@ class McfModel:
             return cached
         result = self._solve_uncached(key, keep_flows)
         self._memo[memo_key] = result
-        if len(self._memo) > self.memo_size:
+        if len(self._memo) > MEMO_SIZE:
             self._memo.popitem(last=False)
         return result
 
-    def feasible(
-        self,
-        link_ids: Optional[Iterable[str]] = None,
-        *,
-        short_circuit: bool = True,
-    ) -> bool:
+    def feasible(self, link_ids: Optional[Iterable[str]] = None) -> bool:
         """Can the subset carry the TM?  May skip the LP entirely.
 
-        The short circuit answers "no" without solving when some node's
+        The cut short circuit answers "no" without solving when some node's
         egress or ingress demand exceeds the cut capacity of its incident
         kept links (with margin, so it can never contradict the LP).
         """
@@ -347,7 +309,7 @@ class McfModel:
             self.memo_hits += 1
             metrics().inc("mcf.memo_hits")
             return cached.feasible
-        if short_circuit and self.cut_infeasible(key):
+        if self.cut_infeasible(key):
             self.cut_shortcircuits += 1
             metrics().inc("mcf.cut_shortcircuits")
             return False
@@ -378,34 +340,28 @@ class McfModel:
 
     def _positions(self, link_ids: Iterable[str]) -> np.ndarray:
         pos = self._link_pos
-        return np.asarray(sorted(pos[lid] for lid in link_ids), dtype=np.int64)
+        try:
+            return np.asarray(sorted(pos[lid] for lid in link_ids), dtype=np.int64)
+        except KeyError as err:
+            raise UnknownLinkError(err.args[0]) from None
 
     def _solve_uncached(self, key: FrozenSet[str], keep_flows: bool) -> MCFResult:
         self.solves += 1
         if self._empty_tm:
-            return MCFResult(lam=self.lambda_cap, feasible=True, status=0, message="empty TM")
+            return MCFResult(lam=LAMBDA_CAP, feasible=True, status=0, message="empty TM")
         if not key:
             return MCFResult(lam=0.0, feasible=False, status=2, message="no links")
-        if not (_FAST_PATH_AVAILABLE and _warm_enabled()) or self._has_self_loop:
-            self.fallback_solves += 1
-            metrics().inc("mcf.fallback_solves")
-            return max_concurrent_flow(
-                self.network.restricted_to_links(key),
-                self.tm,
-                lambda_cap=self.lambda_cap,
-                keep_flows=keep_flows,
-            )
         return self._solve_fast(key, keep_flows)
 
     def _solve_fast(self, key: FrozenSet[str], keep_flows: bool) -> MCFResult:
         """Assemble the subset LP from the templates and call HiGHS directly.
 
-        The assembled CSC arrays are exactly what scipy's linprog pipeline
+        The assembled CSC arrays are exactly what scipy's LP pipeline
         (``_clean_inputs`` → vstack → ``csc_array``) would produce for the
         restricted subnet: same canonical column order (arc-major,
         source-minor, λ last), same ascending rows per column, same float
         values.  HiGHS is deterministic, so the solution bytes match the
-        from-scratch path.
+        reference assembly's solve of that subnet.
         """
         link_positions = self._positions(key)
         n_src = self._n_src
@@ -446,13 +402,12 @@ class McfModel:
             c[n_x] = -1.0
             lb = np.zeros(n_x + 1)
             ub = np.full(n_x + 1, kHighsInf)
-            ub[n_x] = self.lambda_cap
+            ub[n_x] = LAMBDA_CAP
             lhs = np.concatenate([np.full(n_arcs, -kHighsInf), np.zeros(n_eq_rows)])
             rhs = np.concatenate([self._arc_cap[arc_positions], np.zeros(n_eq_rows)])
 
         with span("mcf.solve", variables=n_x + 1):
             metrics().inc("mcf.solves")
-            metrics().inc("mcf.warm_solves")
             res = _run_highs(c, indptr, indices, data, lhs, rhs, lb, ub)
 
         status, message = _highs_to_scipy_status_message(
@@ -467,7 +422,7 @@ class McfModel:
             slack, con = None, None
         bounds = np.zeros((n_x + 1, 2))
         bounds[:, 1] = np.inf
-        bounds[n_x, 1] = self.lambda_cap
+        bounds[n_x, 1] = LAMBDA_CAP
         status, message = _check_result(
             x, res.get("fun"), status, slack, con, bounds, 1e-9, message, None
         )
@@ -476,7 +431,67 @@ class McfModel:
         return _finish_result(x, status, message, arcs, self._sources, keep_flows)
 
 
-def _fingerprint(network: Network, tm: TrafficMatrix, lambda_cap: float) -> Tuple:
+def _finish_result(
+    x,
+    status: int,
+    message: str,
+    arcs: List[Tuple[str, str, str, float, float]],
+    sources: List[str],
+    keep_flows: bool,
+) -> MCFResult:
+    """Turn a raw LP solution into an :class:`MCFResult`."""
+    if status not in (0, 3):  # 3 = unbounded cannot happen with the cap
+        metrics().inc("mcf.failures")
+        raise FlowError(f"MCF solver failed: status={status} {message}")
+    n_arcs, n_src = len(arcs), len(sources)
+    n_x = n_arcs * n_src
+    lam_col = n_x
+    lam = float(x[lam_col]) if x is not None else 0.0
+
+    # Numerical tolerance: HiGHS returns e.g. 0.9999999997 for exactly-tight
+    # instances.
+    feasible = lam >= 1.0 - 1e-7
+
+    flow_km = 0.0
+    link_loads: Optional[Dict[str, float]] = None
+    arcs_out: Optional[Tuple[Tuple[str, str, str, float], ...]] = None
+    arc_flows: Optional[Dict[Tuple[str, str], float]] = None
+    with span("mcf.extract"):
+        if keep_flows and x is not None:
+            arcs_out = tuple((aid, tail, head, cap) for aid, tail, head, cap, _l in arcs)
+            arc_flows = {}
+            for a, (aid, _t, _h, _c, _l) in enumerate(arcs):
+                for s, source in enumerate(sources):
+                    value = float(x[a * n_src + s])
+                    if value > 1e-12:
+                        arc_flows[(aid, source)] = value
+        if x is not None:
+            lengths = np.repeat([arc[4] for arc in arcs], n_src)
+            flow_km = float(np.dot(x[:n_x], lengths))
+            if lam > 1.0:
+                flow_km /= lam  # report at the TM's own scale
+            if feasible:
+                scale = 1.0 / lam if lam > 1.0 else 1.0
+                per_arc = x[:n_x].reshape(n_arcs, n_src).sum(axis=1) * scale
+                link_loads = {}
+                for a, (aid, _t, _h, _c, _l) in enumerate(arcs):
+                    if per_arc[a] > 1e-9:
+                        lid = aid[:-2]  # strip the ">f"/">r" direction suffix
+                        link_loads[lid] = link_loads.get(lid, 0.0) + float(per_arc[a])
+
+    return MCFResult(
+        lam=lam,
+        feasible=feasible,
+        status=status,
+        message=message,
+        flow_km=flow_km,
+        link_loads=link_loads,
+        arcs=arcs_out,
+        arc_flows=arc_flows,
+    )
+
+
+def _fingerprint(network: Network, tm: TrafficMatrix) -> Tuple:
     """Content key: identical workloads share a model across rebuilds."""
     return (
         tuple(network.node_ids),
@@ -487,7 +502,6 @@ def _fingerprint(network: Network, tm: TrafficMatrix, lambda_cap: float) -> Tupl
             )
         ),
         tuple((pair, float(value)) for pair, value in tm.pairs()),
-        float(lambda_cap),
     )
 
 
@@ -507,14 +521,8 @@ class ModelCache:
         self.hits = 0
         self.misses = 0
 
-    def get(
-        self,
-        network: Network,
-        tm: TrafficMatrix,
-        *,
-        lambda_cap: float = LAMBDA_CAP,
-    ) -> McfModel:
-        key = _fingerprint(network, tm, lambda_cap)
+    def get(self, network: Network, tm: TrafficMatrix) -> McfModel:
+        key = _fingerprint(network, tm)
         model = self._models.get(key)
         if model is not None:
             self.hits += 1
@@ -523,7 +531,7 @@ class ModelCache:
             return model
         self.misses += 1
         metrics().inc("mcf.model_cache_misses")
-        model = McfModel(network, tm, lambda_cap=lambda_cap)
+        model = McfModel(network, tm)
         self._models[key] = model
         if len(self._models) > self.maxsize:
             self._models.popitem(last=False)
@@ -540,11 +548,9 @@ class ModelCache:
 _MODEL_CACHE = ModelCache()
 
 
-def get_model(
-    network: Network, tm: TrafficMatrix, *, lambda_cap: float = LAMBDA_CAP
-) -> McfModel:
+def get_model(network: Network, tm: TrafficMatrix) -> McfModel:
     """The process-wide cached model for this (network, TM) content."""
-    return _MODEL_CACHE.get(network, tm, lambda_cap=lambda_cap)
+    return _MODEL_CACHE.get(network, tm)
 
 
 def model_cache() -> ModelCache:

@@ -38,7 +38,7 @@ from scipy.sparse import coo_matrix
 
 from repro.exceptions import UnknownLinkError
 from repro.obs import metrics, span
-from repro.netflow.mcf import LAMBDA_CAP, MCFResult
+from repro.netflow.mcf import LAMBDA_CAP, MEMO_SIZE, MCFResult
 from repro.topology.graph import Network
 from repro.topology.sparse import SparseTopology
 from repro.traffic.matrix import TrafficMatrix
@@ -146,9 +146,7 @@ class PathMcfModel:
         *,
         k_paths: int = 4,
         diversity_penalty: float = 8.0,
-        lambda_cap: float = LAMBDA_CAP,
         exact_fallback: bool = True,
-        memo_size: int = 8192,
     ) -> None:
         tm.validate_against(network.node_ids)
         if k_paths < 1:
@@ -156,9 +154,7 @@ class PathMcfModel:
         self.network = network
         self.tm = tm
         self.k_paths = int(k_paths)
-        self.lambda_cap = float(lambda_cap)
         self.exact_fallback = bool(exact_fallback)
-        self.memo_size = int(memo_size)
         self._memo: "OrderedDict[FrozenSet[str], MCFResult]" = OrderedDict()
         self.memo_hits = 0
         self.path_solves = 0
@@ -226,7 +222,7 @@ class PathMcfModel:
             return cached
         result = self._solve_uncached(key)
         self._memo[key] = result
-        if len(self._memo) > self.memo_size:
+        if len(self._memo) > MEMO_SIZE:
             self._memo.popitem(last=False)
         return result
 
@@ -240,11 +236,11 @@ class PathMcfModel:
 
         self.exact_fallbacks += 1
         metrics().inc("pathmcf.exact_fallbacks")
-        return get_model(self.network, self.tm, lambda_cap=self.lambda_cap).solve(key)
+        return get_model(self.network, self.tm).solve(key)
 
     def _solve_uncached(self, key: FrozenSet[str]) -> MCFResult:
         if not self._demands:
-            return MCFResult(lam=self.lambda_cap, feasible=True, status=0, message="empty TM")
+            return MCFResult(lam=LAMBDA_CAP, feasible=True, status=0, message="empty TM")
         if not key:
             return MCFResult(lam=0.0, feasible=False, status=2, message="no links")
 
@@ -325,7 +321,7 @@ class PathMcfModel:
 
         c = np.zeros(n_cols + 1)
         c[lam_col] = -1.0
-        bounds = [(0, None)] * n_cols + [(0, self.lambda_cap)]
+        bounds = [(0, None)] * n_cols + [(0, LAMBDA_CAP)]
 
         with span("pathmcf.solve", columns=n_cols, arcs=len(arc_rows)):
             metrics().inc("pathmcf.solves")

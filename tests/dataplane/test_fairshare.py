@@ -5,6 +5,8 @@ import pytest
 from repro.exceptions import FlowError
 from repro.dataplane.fairshare import is_max_min_fair, max_min_allocation
 
+from tests.dataplane.fairshare_spec import scalar_max_min_allocation
+
 
 class TestSingleLink:
     def test_equal_split(self):
@@ -116,7 +118,7 @@ class TestValidation:
 
 
 class TestKernelEquivalence:
-    """The vector kernel is the scalar specification, bit for bit."""
+    """The numpy kernel is the scalar specification, bit for bit."""
 
     def _random_case(self, seed):
         import numpy as np
@@ -142,29 +144,8 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("seed", range(60))
     def test_vector_matches_scalar_exactly(self, seed):
         flow_paths, demands, weights, capacities = self._random_case(seed)
-        scalar = max_min_allocation(
-            flow_paths, demands, weights, capacities, kernel="scalar"
+        scalar = scalar_max_min_allocation(
+            flow_paths, demands, weights, capacities
         )
-        vector = max_min_allocation(
-            flow_paths, demands, weights, capacities, kernel="vector"
-        )
+        vector = max_min_allocation(flow_paths, demands, weights, capacities)
         assert vector == scalar  # exact float equality, not approx
-
-    def test_default_kernel_is_vector(self):
-        """Parking-lot instance: default must equal an explicit vector run."""
-        args = (
-            {"long": ["l1", "l2"], "s1": ["l1"], "s2": ["l2"]},
-            {"long": 10.0, "s1": 10.0, "s2": 10.0},
-            {"long": 1.0, "s1": 1.0, "s2": 1.0},
-            {"l1": 10.0, "l2": 10.0},
-        )
-        assert max_min_allocation(*args) == max_min_allocation(
-            *args, kernel="vector"
-        )
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(FlowError, match="unknown fairshare kernel"):
-            max_min_allocation(
-                {"a": ["l"]}, {"a": 1.0}, {"a": 1.0}, {"l": 1.0},
-                kernel="numpy",
-            )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exceptions import FlowError
+from repro.exceptions import FlowError, UnknownLinkError
 from repro.netflow.feasibility import (
     GreedyOracle,
     MCFOracle,
@@ -91,6 +91,14 @@ class TestVerdicts:
         res = MCFOracle(net, tm).check(net.link_ids)
         assert not res.feasible
         assert res.link_loads is None
+
+
+class TestUnknownLinks:
+    @pytest.mark.parametrize("engine", ["mcf", "path", "greedy", "sp"])
+    def test_unknown_link_raises_typed_error(self, net, tm, engine):
+        oracle = make_oracle(engine, net, tm)
+        with pytest.raises(UnknownLinkError, match="nope"):
+            oracle.check({"AB", "nope"})
 
 
 class TestCaching:

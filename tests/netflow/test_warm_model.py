@@ -2,23 +2,21 @@
 
 Complements ``tests/property/test_prop_warm_mcf.py`` (the 200-case
 byte-identity sweep) with targeted checks: memo/state isolation between
-subsets, the kill switch, the cut short circuit's soundness, and the
-process-wide content-addressed model cache.
+subsets, the direct HiGHS path, the cut short circuit's soundness, and
+the process-wide content-addressed model cache.  "Cold" results come
+from the ``linprog`` reference in ``tests/netflow/reference_mcf.py``.
 """
 
 import pytest
 
+import repro.netflow.model as model_module
 from repro.exceptions import UnknownLinkError
-from repro.netflow.mcf import LAMBDA_CAP, max_concurrent_flow, mcf_feasible
-from repro.netflow.model import (
-    _KILL_SWITCH_ENV,
-    McfModel,
-    ModelCache,
-    get_model,
-    model_cache,
-)
+from repro.netflow.mcf import LAMBDA_CAP, mcf_feasible
+from repro.netflow.model import McfModel, ModelCache, get_model, model_cache
 from repro.topology.graph import Link, Network, Node
 from repro.traffic.matrix import TrafficMatrix
+
+from tests.netflow.reference_mcf import reference_max_concurrent_flow
 
 
 def diamond_network():
@@ -45,7 +43,7 @@ class TestSolveApi:
     def test_default_solves_full_network(self):
         net, tm = diamond_network(), diamond_tm()
         model = McfModel(net, tm)
-        cold = max_concurrent_flow(net.restricted_to_links(net.link_ids), tm)
+        cold = reference_max_concurrent_flow(net.restricted_to_links(net.link_ids), tm)
         warm = model.solve()
         assert warm.lam == cold.lam
         assert warm.link_loads == cold.link_loads
@@ -73,7 +71,7 @@ class TestSolveApi:
         net, tm = diamond_network(), diamond_tm()
         subset = frozenset({"AB", "BC", "CD", "DA"})
         warm = McfModel(net, tm).solve(subset, keep_flows=True)
-        cold = max_concurrent_flow(
+        cold = reference_max_concurrent_flow(
             net.restricted_to_links(subset), tm, keep_flows=True
         )
         assert warm.arcs == cold.arcs
@@ -107,9 +105,10 @@ class TestMemoIsolation:
         assert detailed.arc_flows is not None
         assert plain.lam == detailed.lam
 
-    def test_memo_bound_evicts_oldest(self):
+    def test_memo_bound_evicts_oldest(self, monkeypatch):
+        monkeypatch.setattr(model_module, "MEMO_SIZE", 2)
         net, tm = diamond_network(), diamond_tm()
-        model = McfModel(net, tm, memo_size=2)
+        model = McfModel(net, tm)
         model.solve({"AB", "BC", "CD", "DA"})
         model.solve({"AB", "BC", "CD", "DA", "AC"})
         model.solve({"AB", "BC", "CD"})  # evicts the first entry
@@ -128,17 +127,7 @@ class TestMemoIsolation:
 
 
 class TestKillSwitch:
-    def test_kill_switch_forces_fallback(self, monkeypatch):
-        monkeypatch.setenv(_KILL_SWITCH_ENV, "off")
-        net, tm = diamond_network(), diamond_tm()
-        model = McfModel(net, tm)
-        result = model.solve({"AB", "BC", "CD", "DA"})
-        assert model.fallback_solves == 1
-        cold = max_concurrent_flow(
-            net.restricted_to_links({"AB", "BC", "CD", "DA"}), tm
-        )
-        assert result.lam == cold.lam
-        assert result.message == cold.message
+    """There is none: every solve takes the direct HiGHS path."""
 
     def test_warm_path_used_by_default(self):
         model = McfModel(diamond_network(), diamond_tm())
@@ -160,7 +149,9 @@ class TestCutShortCircuit:
         assert not model.feasible(subset)
         assert model.cut_shortcircuits == 1
         # Soundness: the LP agrees.
-        assert not max_concurrent_flow(net.restricted_to_links(subset), tm).feasible
+        assert not reference_max_concurrent_flow(
+            net.restricted_to_links(subset), tm
+        ).feasible
 
     def test_short_circuit_never_fires_on_feasible_subsets(self):
         net, tm = diamond_network(), diamond_tm()
@@ -169,14 +160,10 @@ class TestCutShortCircuit:
         assert model.feasible()
         assert model.cut_shortcircuits == 0
 
-    def test_short_circuit_can_be_disabled(self):
-        net = diamond_network()
-        tm = TrafficMatrix.from_dict(["A", "B", "C", "D"], {("A", "C"): 30.0})
-        model = McfModel(net, tm)
-        subset = frozenset({"AB", "DA", "AC"})
-        assert not model.feasible(subset, short_circuit=False)
-        assert model.cut_shortcircuits == 0
-        assert model.solves == 1  # went to the LP instead
+    def test_unknown_link_raises_typed_error(self):
+        model = McfModel(diamond_network(), diamond_tm())
+        with pytest.raises(UnknownLinkError, match="nope"):
+            model.cut_infeasible({"AB", "nope"})
 
 
 class TestModelCache:
@@ -217,11 +204,6 @@ class TestModelCache:
         assert len(cache) == 2
         cache.get(nets[0], tm)  # evicted: rebuilt as a miss
         assert cache.misses == 4
-
-    def test_lambda_cap_in_key(self):
-        cache = ModelCache(maxsize=4)
-        net, tm = diamond_network(), diamond_tm()
-        assert cache.get(net, tm) is not cache.get(net, tm, lambda_cap=8.0)
 
     def test_process_wide_cache_backs_mcf_feasible(self):
         net, tm = diamond_network(), diamond_tm()

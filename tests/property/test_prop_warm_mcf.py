@@ -2,8 +2,8 @@
 
 The contract of :class:`repro.netflow.model.McfModel` is absolute: for
 any (topology, TM, dropped-link subset), the warm path must return the
-*same floats* as building the LP from scratch with
-:func:`repro.netflow.mcf.max_concurrent_flow` on the restricted network
+*same floats* as building the LP from scratch for scipy ``linprog`` on
+the restricted network (the reference in ``tests/netflow/reference_mcf.py``)
 — not approximately, bit for bit.  These tests sweep 200 seeded cases
 (random topologies, random TMs, random surviving-link subsets) and
 compare every field of the result with ``==``.
@@ -16,6 +16,8 @@ from repro.netflow.mcf import max_concurrent_flow
 from repro.netflow.model import McfModel
 from repro.topology.graph import Link, Network, Node
 from repro.traffic.matrix import TrafficMatrix
+
+from tests.netflow.reference_mcf import reference_max_concurrent_flow
 
 N_CASES = 200
 
@@ -83,7 +85,7 @@ class TestWarmColdByteIdentity:
         model = McfModel(net, tm)
         keep_flows = seed % 5 == 0  # routing detail on every fifth case
         warm = model.solve(subset, keep_flows=keep_flows)
-        cold = max_concurrent_flow(
+        cold = reference_max_concurrent_flow(
             net.restricted_to_links(subset), tm, keep_flows=keep_flows
         )
         _assert_identical(warm, cold)
@@ -104,7 +106,7 @@ class TestWarmColdByteIdentity:
         net, tm, subset = _random_case(seed)
         model = McfModel(net, tm)
         verdict = model.feasible(subset)
-        exact = max_concurrent_flow(net.restricted_to_links(subset), tm)
+        exact = reference_max_concurrent_flow(net.restricted_to_links(subset), tm)
         assert verdict == exact.feasible
 
 
@@ -133,3 +135,33 @@ class TestNoStateLeaksBetweenSubsets:
             from_shared = shared.solve(subset)
             dedicated = McfModel(net, tm).solve(subset)
             _assert_identical(from_shared, dedicated)
+
+
+def _shuffled_copy(net: Network, seed: int) -> Network:
+    """The same network content with links added in a seeded random order."""
+    rng = np.random.default_rng(seed + 20_000)
+    copy = Network(name=net.name)
+    for node in net.nodes:
+        copy.add_node(node)
+    links = net.links
+    for i in rng.permutation(len(links)):
+        copy.add_link(links[int(i)])
+    return copy
+
+
+class TestLinkInsertionOrder:
+    @pytest.mark.parametrize("seed", range(N_CASES))
+    def test_result_follows_link_id_order(self, seed):
+        """``max_concurrent_flow`` ignores the order links were added in.
+
+        Its LP takes arcs in link-id order, so on a shuffled build it must
+        equal the reference on the id-ordered ``restricted_to_links`` copy.
+        """
+        net, tm, _subset = _random_case(seed)
+        shuffled = _shuffled_copy(net, seed)
+        keep_flows = seed % 5 == 0
+        result = max_concurrent_flow(shuffled, tm, keep_flows=keep_flows)
+        reference = reference_max_concurrent_flow(
+            net.restricted_to_links(net.link_ids), tm, keep_flows=keep_flows
+        )
+        _assert_identical(result, reference)
