@@ -1319,11 +1319,15 @@ def make_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--list", action="store_true",
                       help="list registered experiments and exit")
     p_sw.add_argument("--trial-timeout", type=float, default=None, metavar="S",
-                      help="per-trial wall-clock deadline in seconds; implies "
-                           "supervised execution (watchdog + quarantine)")
+                      help="per-trial wall-clock deadline in seconds; a trial "
+                           "that keeps overrunning it is quarantined "
+                           "(implies --supervised)")
     p_sw.add_argument("--supervised", action="store_true",
-                      help="run under the trial supervisor even without a "
-                           "timeout (crash respawn + poison quarantine)")
+                      help="quarantine a failing trial (one that still "
+                           "raises after its retries, or times out or "
+                           "crashes its worker --max-trial-attempts times) "
+                           "and finish the sweep; without it the sweep "
+                           "stops with an error naming the trial")
     p_sw.add_argument("--validate", default="off",
                       choices=("off", "warn", "quarantine", "strict"),
                       help="invariant suite over every result: warn journals "

@@ -206,7 +206,7 @@ class WorkerCrashError(SweepError):
 
 
 class SweepInterrupted(SweepError):
-    """A supervised sweep was stopped by SIGINT/SIGTERM.
+    """A sweep was stopped by SIGINT/SIGTERM.
 
     Raised *after* the supervisor has drained in-flight results and
     flushed the checkpoint, so the store and checkpoint on disk are

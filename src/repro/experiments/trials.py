@@ -392,9 +392,9 @@ def micro_prewarm(params: Mapping[str, object]) -> None:
     (:func:`repro.resilience.chaos._micro_base`) and the warm LP model
     for its (topology, TM) into the content-addressed model cache
     (:func:`repro.netflow.model.get_model`).  Registered as the
-    ``prewarm`` hook of every micro-workload experiment: the sweep
-    runner calls it in the parent before the pool starts (fork workers
-    inherit the warm state) and once per spawn-started worker.  Pure
+    ``prewarm`` hook of every micro-workload experiment: the trial
+    supervisor calls it in the parent before dispatch (fork workers
+    inherit the warm state) and in every pool worker at startup.  Pure
     cache population — the model cache keys on content and the micro
     base is seed-independent, so records are byte-identical with or
     without it.

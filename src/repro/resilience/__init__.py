@@ -12,9 +12,9 @@ them in practice:
   mid-epoch, defer re-auction to the next round.
 - :mod:`repro.resilience.chaos` — a deterministic fault-injection
   harness and end-to-end survivability campaigns (``poc-repro chaos``).
-- :mod:`repro.resilience.supervisor` — supervised trial execution for
-  sweeps: per-trial deadlines, a hang watchdog, crashed-worker respawn,
-  and poison-trial quarantine.
+- :mod:`repro.resilience.supervisor` — trial execution for every sweep,
+  in-process or on a worker pool: per-trial deadlines, a hang watchdog,
+  crashed-worker respawn, and poison-trial quarantine.
 - :mod:`repro.resilience.netfaults` — a seeded TCP fault proxy (drop,
   delay, truncate, duplicate, reset) for breaking the service's wire.
 """

@@ -1,27 +1,35 @@
-"""Supervised trial execution: deadlines, watchdog, quarantine, shutdown.
+"""Trial execution for every sweep: deadlines, respawn, poison trials, shutdown.
 
-The PR-2 sweep pool assumes every trial terminates and every worker
-survives.  At production scale neither holds: one hung MILP solve stalls
-a shard forever, one segfaulting trial loses its worker, and retrying a
-poison trial forever turns a sweep into a treadmill.  The
-:class:`TrialSupervisor` wraps trial execution with four defenses:
+:class:`TrialSupervisor` is the one executor behind
+:class:`~repro.sweeps.runner.SweepRunner`.  ``workers <= 1`` runs the
+trials in this process; ``workers > 1`` runs them on a pool of worker
+processes, each handed the next trial as soon as it is free.  Either
+way it layers four defenses around trial execution:
 
-1. **per-trial deadlines** — a worker-side ``SIGALRM`` interrupts
-   Python-level overruns cleanly; a parent-side watchdog thread reading
-   per-worker *heartbeat files* catches hard hangs (C code that never
-   returns to the interpreter) and kills the worker;
+1. **per-trial deadlines** (only with ``trial_timeout_s``) — ``SIGALRM``
+   interrupts Python-level overruns cleanly; in a pool, a parent-side
+   watchdog thread reading per-worker *heartbeat files* catches hard
+   hangs (C code that never returns to the interpreter) and kills the
+   worker.  An in-process run that cannot arm the alarm (off the main
+   thread, or no ``SIGALRM``) refuses to start rather than ignore its
+   deadline;
 2. **bounded respawn** — crashed or killed workers are replaced up to a
    respawn budget, and the trial they were running is retried;
-3. **poison-trial quarantine** — a trial that times out or crashes its
-   worker ``max_trial_attempts`` times (or raises a deterministic error
-   after its in-worker retries) is appended to an append-only
-   ``quarantine.jsonl`` with params, seed, and traceback, instead of
-   being retried forever; re-runs skip quarantined trials;
-4. **graceful SIGINT/SIGTERM shutdown** — stop dispatching, drain
-   in-flight results (each is persisted by the runner's callback as it
-   lands), notify the checkpoint, then raise
+3. **poison trials** — a trial that times out or crashes its worker
+   ``max_trial_attempts`` times, or raises a deterministic error after
+   its in-worker retries, is poison.  With a :class:`QuarantineLog` it
+   is appended to the ledger (params, seed, traceback) and the run goes
+   on; without one the run stops with a
+   :class:`~repro.exceptions.SweepError` naming the trial;
+4. **graceful SIGINT/SIGTERM shutdown** (when run on the main thread) —
+   stop dispatching, drain in-flight results (each is persisted by the
+   runner's callback as it lands), notify the checkpoint, then raise
    :class:`~repro.exceptions.SweepInterrupted` so the sweep is
    resumable.
+
+Before dispatch the experiment's byte-neutral ``prewarm`` hook warms
+the parent's caches, and every pool worker (forked, spawned or
+respawned) warms its own at startup.
 
 Every notable event becomes an :class:`IncidentRecord` in a structured
 journal, surfaced through ``poc-repro sweep --report``.
@@ -33,13 +41,15 @@ import json
 import os
 import pathlib
 import queue as queue_mod
+import shutil
 import signal
 import tempfile
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Deque, Dict, Iterator, List, Optional
+from typing import Tuple, Union
 
 from repro.exceptions import (
     SweepError,
@@ -49,8 +59,21 @@ from repro.exceptions import (
 )
 from repro.resilience.policy import RetryPolicy
 
-#: (index, resolved params, seed, key) — mirrors repro.sweeps.runner.
-TrialTask = Tuple[int, Dict[str, object], int, str]
+if TYPE_CHECKING:
+    from repro.sweeps.runner import TrialTask
+
+#: How often the watchdog reads heartbeats, and how long the pool loop
+#: waits for a result before checking on its workers.
+POLL_INTERVAL_S = 0.05
+#: Floor of the watchdog's grace past a trial's deadline before it kills
+#: the worker; the grace is ``max(WATCHDOG_GRACE_S, 0.5 * trial_timeout_s)``.
+WATCHDOG_GRACE_S = 2.0
+#: How long a signalled pool waits for in-flight trials before raising.
+SHUTDOWN_GRACE_S = 5.0
+#: Distinct resolved-param sets warmed before dispatch.  Grids typically
+#: share one workload across many points, so a handful covers a sweep;
+#: the bound keeps a pathological grid from making warming a second sweep.
+PREWARM_LIMIT = 8
 
 #: Incident kinds, in rough order of severity.
 INCIDENT_KINDS = (
@@ -204,6 +227,44 @@ def _seed_worker_globals(trial_seed: int) -> None:
     np.random.seed(trial_seed % 2**32)
 
 
+def _prewarm_param_sets(
+    experiment_name: str, tasks: List[TrialTask]
+) -> List[Dict[str, object]]:
+    """The first :data:`PREWARM_LIMIT` distinct param sets among ``tasks``
+    (none when the experiment has no ``prewarm`` hook)."""
+    from repro.sweeps.registry import get_experiment
+
+    if get_experiment(experiment_name).prewarm is None:
+        return []
+    seen = set()
+    out: List[Dict[str, object]] = []
+    for _index, params, _seed, _key in tasks:
+        marker = repr(sorted(params.items(), key=lambda kv: kv[0]))
+        if marker in seen:
+            continue
+        seen.add(marker)
+        out.append(params)
+        if len(out) >= PREWARM_LIMIT:
+            break
+    return out
+
+
+def _prewarm(experiment_name: str, param_sets: List[Dict[str, object]]) -> None:
+    """Warm this process's caches for the given param sets.
+
+    Prewarming is an optimization, never a correctness dependency (the
+    :class:`~repro.sweeps.registry.Experiment` contract), so every
+    failure is swallowed — the trial rebuilds whatever is missing.
+    """
+    from repro.sweeps.registry import get_experiment
+
+    for params in param_sets:
+        try:
+            get_experiment(experiment_name).prewarm(params)
+        except Exception:
+            continue  # also a spawned worker that cannot resolve the name
+
+
 def _format_wall(wall_s: float) -> str:
     """Render a wall-clock stamp for incident records (reporting only —
     elapsed/deadline math never touches wall time)."""
@@ -241,16 +302,19 @@ def _worker_main(
     experiment_name: str,
     retry: RetryPolicy,
     trial_timeout_s: Optional[float],
-    heartbeat_path: str,
+    heartbeat_path: Optional[str],
+    prewarm_params: List[Dict[str, object]],
     task_queue,
     result_queue,
 ) -> None:
-    """Worker loop: pull a task, run it under the alarm, report, repeat.
+    """Worker loop: warm caches, then pull a task, run it, report, repeat.
 
     Module-level (spawn-picklable).  The worker never dies of a trial
     failure — it reports and moves on; only a sentinel (or the parent's
-    kill) ends it.  SIGINT/SIGTERM are ignored here: shutdown is the
-    parent's call, delivered as a sentinel or a kill.
+    kill) ends it.  SIGINT is ignored here: shutdown is the parent's
+    call, delivered as a sentinel or a kill.  Under a deadline the
+    trial runs under ``SIGALRM`` and the worker publishes heartbeats
+    for the parent's watchdog; without one it does neither.
     """
     import traceback as tb_mod
 
@@ -268,22 +332,24 @@ def _worker_main(
 
         signal.signal(signal.SIGALRM, _on_alarm)
 
+    _prewarm(experiment_name, prewarm_params)
     while True:
         task = task_queue.get()
         if task is None:
-            _write_heartbeat(heartbeat_path, {"pid": os.getpid(), "busy": False})
             break
         index, _params, _seed, key = task
-        _write_heartbeat(heartbeat_path, {
-            "pid": os.getpid(), "busy": True, "index": index, "key": key,
-            # Elapsed-time math uses the monotonic stamp (CLOCK_MONOTONIC is
-            # shared across processes on the same boot, so the parent's
-            # monotonic clock is directly comparable); the wall stamp is kept
-            # purely for human-readable incident records — an NTP step or a
-            # manual clock change must never look like a hung trial.
-            "started_mono": time.monotonic(),
-            "started_wall": time.time(),
-        })
+        if heartbeat_path is not None:
+            _write_heartbeat(heartbeat_path, {
+                "pid": os.getpid(), "busy": True, "index": index, "key": key,
+                # Elapsed-time math uses the monotonic stamp (CLOCK_MONOTONIC
+                # is shared across processes on the same boot, so the
+                # parent's monotonic clock is directly comparable); the wall
+                # stamp is kept purely for human-readable incident records —
+                # an NTP step or a manual clock change must never look like a
+                # hung trial.
+                "started_mono": time.monotonic(),
+                "started_wall": time.time(),
+            })
         started = time.monotonic()
         try:
             if use_alarm:
@@ -302,18 +368,20 @@ def _worker_main(
             err = TrialTimeoutError(index, float(trial_timeout_s or 0.0),
                                     "worker-side alarm")
             result_queue.put(
-                ("failure", worker_id, index, "timeout", repr(err), elapsed)
+                ("failure", worker_id, index, "timeout", str(err), repr(err),
+                 elapsed)
             )
-        except Exception:
+        except Exception as exc:
             elapsed = time.monotonic() - started
             result_queue.put(
-                ("failure", worker_id, index, "failure",
+                ("failure", worker_id, index, "failure", str(exc),
                  tb_mod.format_exc(), elapsed)
             )
         else:
             elapsed = time.monotonic() - started
             result_queue.put(("result", worker_id, index, record, elapsed))
-        _write_heartbeat(heartbeat_path, {"pid": os.getpid(), "busy": False})
+        if heartbeat_path is not None:
+            _write_heartbeat(heartbeat_path, {"pid": os.getpid(), "busy": False})
 
 
 # -- parent side --------------------------------------------------------------
@@ -325,7 +393,7 @@ class _Worker:
 
     process: object
     task_queue: object
-    heartbeat_path: str
+    heartbeat_path: Optional[str]  # None unless trials have a deadline
     busy_index: Optional[int] = None
     busy_since: float = 0.0  # parent monotonic clock at dispatch
 
@@ -343,14 +411,16 @@ class SupervisionOutcome:
 class TrialSupervisor:
     """Executes trial tasks under deadlines, crash recovery, and quarantine.
 
-    ``workers <= 1`` runs in-process (timeouts still enforced via
-    ``SIGALRM`` when available); ``workers > 1`` runs a supervised
-    process pool.  The supervisor is execution-only: caching, validation
-    and persistence belong to the caller, wired in through ``on_result``
-    — called in the parent as each result lands, returning ``True`` to
-    keep the record or ``False`` if the caller disposed of it (e.g.
-    validation quarantine).  ``on_result`` may raise to abort the run
-    (strict validation); workers are then shut down cleanly.
+    ``workers <= 1`` runs in-process; ``workers > 1`` runs a process
+    pool.  ``quarantine`` decides what a poison trial does: a ledger
+    records it and the run goes on, ``None`` stops the run with a
+    :class:`SweepError` naming it.  The supervisor is execution-only:
+    caching, validation and persistence belong to the caller, wired in
+    through ``on_result`` — called in the parent as each result lands,
+    returning ``True`` to keep the record or ``False`` if the caller
+    disposed of it (e.g. validation quarantine).  ``on_result`` may
+    raise to abort the run (strict validation); workers are then shut
+    down cleanly.
     """
 
     def __init__(
@@ -364,9 +434,6 @@ class TrialSupervisor:
         max_trial_attempts: int = 2,
         respawn_budget: int = 8,
         quarantine: Optional[QuarantineLog] = None,
-        watchdog_grace_s: Optional[float] = None,
-        poll_interval_s: float = 0.05,
-        shutdown_grace_s: float = 5.0,
         on_result: Optional[Callable[[TrialTask, Dict[str, object], float], bool]] = None,
         on_interrupt: Optional[Callable[[int], None]] = None,
     ) -> None:
@@ -385,14 +452,7 @@ class TrialSupervisor:
         self.trial_timeout_s = trial_timeout_s
         self.max_trial_attempts = max_trial_attempts
         self.respawn_budget = respawn_budget
-        self.quarantine = quarantine if quarantine is not None else QuarantineLog(None)
-        self.watchdog_grace_s = (
-            watchdog_grace_s
-            if watchdog_grace_s is not None
-            else max(2.0, 0.5 * (trial_timeout_s or 0.0))
-        )
-        self.poll_interval_s = poll_interval_s
-        self.shutdown_grace_s = shutdown_grace_s
+        self.quarantine = quarantine
         self.on_result = on_result
         self.on_interrupt = on_interrupt
 
@@ -505,50 +565,48 @@ class TrialSupervisor:
     def run(self, tasks: List[TrialTask]) -> SupervisionOutcome:
         """Execute every task; return records, incidents, and quarantines.
 
-        Tasks already present in the quarantine log are skipped with a
-        ``quarantine-skip`` incident (poison is poison until the log is
-        cleared).  Raises :class:`SweepInterrupted` on SIGINT/SIGTERM
-        after draining, :class:`InvariantViolation` if ``on_result``
-        escalates, and :class:`SweepError` when the respawn budget is
-        exhausted.
+        Raises :class:`SweepInterrupted` on SIGINT/SIGTERM after
+        draining, :class:`InvariantViolation` if ``on_result`` escalates,
+        and :class:`SweepError` for a poison trial without a ledger, when
+        the respawn budget is exhausted, or — before any trial runs —
+        when an in-process run has a deadline it cannot arm.
         """
         outcome = SupervisionOutcome()
         self.last_outcome = outcome
-        runnable: List[TrialTask] = []
-        for task in tasks:
-            index, _params, _seed, key = task
-            if self.quarantine.has(key):
-                self._incident(
-                    outcome, kind="quarantine-skip", index=index, key=key,
-                    attempt=0, wall_time_s=0.0, disposition="skipped",
-                    detail="already quarantined; clear quarantine.jsonl to retry",
-                )
-            else:
-                runnable.append(task)
-        if not runnable:
+        if not tasks:
             return outcome
+        warm = _prewarm_param_sets(self.experiment_name, tasks)
+        _prewarm(self.experiment_name, warm)
 
         self._stop_signal = None
         previous = self._install_signal_handlers()
         try:
             if self.workers <= 1:
-                self._run_serial(runnable, outcome)
+                self._run_serial(tasks, outcome)
             else:
-                self._run_pool(runnable, outcome)
+                self._run_pool(tasks, outcome, warm)
         finally:
             self._restore_signal_handlers(previous)
         return outcome
 
-    # -- serial supervised execution ------------------------------------------
+    # -- in-process execution -------------------------------------------------
 
     def _run_serial(self, tasks: List[TrialTask], outcome: SupervisionOutcome) -> None:
+        import traceback as tb_mod
+
         from repro.sweeps.runner import _run_trial_with_retry
 
-        use_alarm = (
-            self.trial_timeout_s is not None
-            and hasattr(signal, "SIGALRM")
+        use_alarm = self.trial_timeout_s is not None
+        if use_alarm and not (
+            hasattr(signal, "SIGALRM")
             and threading.current_thread() is threading.main_thread()
-        )
+        ):
+            raise SweepError(
+                f"cannot enforce trial_timeout_s={self.trial_timeout_s:g} "
+                "in-process: SIGALRM is only available on the main thread "
+                "of a POSIX process; run from the main thread or use "
+                "workers >= 2"
+            )
         previous_alarm = None
         if use_alarm:
             def _on_alarm(_signum, _frame):
@@ -584,16 +642,14 @@ class TrialSupervisor:
                         index, float(self.trial_timeout_s or 0.0), "in-process alarm"
                     )
                     self._after_failure(
-                        outcome, task, "timeout", repr(err), elapsed,
+                        outcome, task, "timeout", str(err), repr(err), elapsed,
                         attempts[index], pending,
                     )
-                except Exception:
-                    import traceback as tb_mod
-
+                except Exception as exc:
                     elapsed = time.monotonic() - started
                     self._after_failure(
-                        outcome, task, "failure", tb_mod.format_exc(), elapsed,
-                        attempts[index], pending,
+                        outcome, task, "failure", str(exc), tb_mod.format_exc(),
+                        elapsed, attempts[index], pending,
                     )
                 else:
                     elapsed = time.monotonic() - started
@@ -608,45 +664,60 @@ class TrialSupervisor:
         outcome: SupervisionOutcome,
         task: TrialTask,
         kind: str,
+        error: str,
         traceback_text: str,
         elapsed: float,
         attempt: int,
         requeue: Deque[TrialTask],
     ) -> None:
-        """Common disposition logic: retry transient kinds, quarantine poison.
+        """Common disposition logic: retry transient kinds, then poison.
 
         Deterministic trial errors (``failure``) already consumed their
-        in-worker retries, so they quarantine immediately; timeouts,
-        hangs, and crashes get ``max_trial_attempts`` tries before the
-        trial is declared poison.
+        in-worker retries, so they are poison at once; timeouts, hangs,
+        and crashes get ``max_trial_attempts`` tries first.  A poison
+        trial is quarantined when there is a ledger; without one the run
+        stops with ``error`` (the one-line message naming the trial).
         """
         index, _params, _seed, key = task
+        detail = traceback_text.strip().splitlines()[-1] if traceback_text else ""
         transient = kind in ("timeout", "hang", "crash")
         if transient and attempt < self.max_trial_attempts:
             self._incident(
                 outcome, kind=kind, index=index, key=key, attempt=attempt,
                 wall_time_s=round(elapsed, 3), disposition="retried",
-                detail=traceback_text.strip().splitlines()[-1] if traceback_text else "",
+                detail=detail,
             )
             requeue.appendleft(task)
             return
+        if self.quarantine is None:
+            raise SweepError(error) from None
         self._incident(
             outcome, kind=kind, index=index, key=key, attempt=attempt,
             wall_time_s=round(elapsed, 3), disposition="quarantined",
-            detail=traceback_text.strip().splitlines()[-1] if traceback_text else "",
+            detail=detail,
         )
         self._quarantine_trial(outcome, task, kind, traceback_text, attempt, elapsed)
 
-    # -- pooled supervised execution ------------------------------------------
+    # -- pooled execution -----------------------------------------------------
 
-    def _spawn_worker(self, ctx, worker_id: int, result_queue, hb_dir: str) -> _Worker:
+    def _spawn_worker(
+        self,
+        ctx,
+        worker_id: int,
+        result_queue,
+        hb_dir: Optional[str],
+        prewarm_params: List[Dict[str, object]],
+    ) -> _Worker:
         task_queue = ctx.Queue()
-        heartbeat_path = os.path.join(hb_dir, f"worker-{worker_id}.hb")
+        heartbeat_path = (
+            os.path.join(hb_dir, f"worker-{worker_id}.hb") if hb_dir else None
+        )
         process = ctx.Process(
             target=_worker_main,
             args=(
                 worker_id, self.experiment_name, self.retry,
-                self.trial_timeout_s, heartbeat_path, task_queue, result_queue,
+                self.trial_timeout_s, heartbeat_path, prewarm_params,
+                task_queue, result_queue,
             ),
             daemon=True,
             name=f"sweep-worker-{worker_id}",
@@ -661,13 +732,16 @@ class TrialSupervisor:
 
         The worker-side alarm is the first line of defense; the watchdog
         only fires when the worker cannot even service a signal (a hang
-        inside native code), after ``trial_timeout_s + watchdog_grace_s``.
-        Heartbeat files are the primary evidence (worker-reported start
-        time); the parent-side dispatch clock is the fallback.
+        inside native code), after ``trial_timeout_s`` plus a grace of
+        ``max(WATCHDOG_GRACE_S, 0.5 * trial_timeout_s)``.  Heartbeat files
+        are the primary evidence (worker-reported start time); the
+        parent-side dispatch clock is the fallback.
         """
         assert self.trial_timeout_s is not None
-        deadline = self.trial_timeout_s + self.watchdog_grace_s
-        while not self._watchdog_stop.wait(self.poll_interval_s):
+        deadline = self.trial_timeout_s + max(
+            WATCHDOG_GRACE_S, 0.5 * self.trial_timeout_s
+        )
+        while not self._watchdog_stop.wait(POLL_INTERVAL_S):
             # Deadline math runs entirely on the monotonic clock: worker
             # heartbeats stamp started_mono (comparable across processes on
             # the same boot), so a wall-clock step (NTP, manual change)
@@ -701,7 +775,12 @@ class TrialSupervisor:
                         self._hung[worker_id] = (overrun, started_wall)
                     worker.process.kill()
 
-    def _run_pool(self, tasks: List[TrialTask], outcome: SupervisionOutcome) -> None:
+    def _run_pool(
+        self,
+        tasks: List[TrialTask],
+        outcome: SupervisionOutcome,
+        prewarm_params: List[Dict[str, object]],
+    ) -> None:
         import multiprocessing
 
         ctx = (
@@ -711,13 +790,20 @@ class TrialSupervisor:
         )
         n_workers = min(self.workers, len(tasks))
         result_queue = ctx.Queue()
-        hb_dir = tempfile.mkdtemp(prefix="poc-sweep-hb-")
+        # Heartbeats feed only the watchdog, which only runs under a deadline.
+        hb_dir = (
+            tempfile.mkdtemp(prefix="poc-sweep-hb-")
+            if self.trial_timeout_s is not None
+            else None
+        )
         undispatched: Deque[TrialTask] = deque(tasks)
         in_flight: Dict[int, TrialTask] = {}
         attempts: Dict[int, int] = {}
         self._hung = {}
         self._workers = {
-            worker_id: self._spawn_worker(ctx, worker_id, result_queue, hb_dir)
+            worker_id: self._spawn_worker(
+                ctx, worker_id, result_queue, hb_dir, prewarm_params
+            )
             for worker_id in range(n_workers)
         }
 
@@ -763,12 +849,12 @@ class TrialSupervisor:
                     attempts[index] = attempts.get(index, 0) + 1
                     self._deliver(outcome, task, record, elapsed)
             elif kind == "failure":
-                _k, worker_id, index, failure_kind, tb_text, elapsed = message
+                _k, worker_id, index, failure_kind, error, tb_text, elapsed = message
                 task = settle(worker_id, index)
                 if task is not None:
                     attempts[index] = attempts.get(index, 0) + 1
                     self._after_failure(
-                        outcome, task, failure_kind, tb_text, elapsed,
+                        outcome, task, failure_kind, error, tb_text, elapsed,
                         attempts[index], undispatched,
                     )
             return True
@@ -798,15 +884,15 @@ class TrialSupervisor:
                             "; trial started "
                             + _format_wall(started_wall)
                         )
-                        detail = repr(TrialTimeoutError(
+                        err: SweepError = TrialTimeoutError(
                             busy_index, float(self.trial_timeout_s or 0.0),
                             f"watchdog killed worker {overrun:.1f}s past "
                             f"deadline{started_at}",
-                        ))
+                        )
                     else:
-                        detail = repr(WorkerCrashError(busy_index, exitcode))
+                        err = WorkerCrashError(busy_index, exitcode)
                     self._after_failure(
-                        outcome, task, failure_kind, detail, 0.0,
+                        outcome, task, failure_kind, str(err), repr(err), 0.0,
                         attempts[busy_index], undispatched,
                     )
                 if not (undispatched or in_flight):
@@ -819,7 +905,7 @@ class TrialSupervisor:
                 outcome.respawns += 1
                 replacement_id = max(self._workers, default=worker_id) + 1
                 replacement = self._spawn_worker(
-                    ctx, replacement_id, result_queue, hb_dir
+                    ctx, replacement_id, result_queue, hb_dir, prewarm_params
                 )
                 with self._lock:
                     self._workers[replacement_id] = replacement
@@ -835,14 +921,14 @@ class TrialSupervisor:
                 if self._stop_signal is not None:
                     # Graceful drain: no new dispatch, flush what is in
                     # flight (bounded), then report and raise.
-                    grace_until = time.monotonic() + self.shutdown_grace_s
+                    grace_until = time.monotonic() + SHUTDOWN_GRACE_S
                     while in_flight and time.monotonic() < grace_until:
-                        drain_one(self.poll_interval_s)
+                        drain_one(POLL_INTERVAL_S)
                     self._interrupt(
                         outcome, remaining=len(undispatched) + len(in_flight)
                     )
                 feed()
-                drain_one(self.poll_interval_s)
+                drain_one(POLL_INTERVAL_S)
                 reap_dead()
         finally:
             self._watchdog_stop.set()
@@ -862,12 +948,8 @@ class TrialSupervisor:
                     worker.process.kill()
                     worker.process.join(timeout=1.0)
             result_queue.close()
-            try:
-                for name in os.listdir(hb_dir):
-                    os.unlink(os.path.join(hb_dir, name))
-                os.rmdir(hb_dir)
-            except OSError:
-                pass
+            if hb_dir is not None:
+                shutil.rmtree(hb_dir, ignore_errors=True)
 
 
 def format_incidents(incidents: List[IncidentRecord]) -> str:

@@ -3,8 +3,8 @@
 The subsystem the ROADMAP's "as many scenarios as you can imagine" goal
 rests on.  Dataflow::
 
-    SweepSpec ──trials()──► shard ──workers──► ResultStore ──► aggregate
-      (grid)    (seeded)    (round-robin)      (JSONL cache)    (group-by)
+    SweepSpec ──trials()──► TrialSupervisor ──► ResultStore ──► aggregate
+      (grid)    (seeded)    (in-process/pool)   (JSONL cache)    (group-by)
 
 See DESIGN.md §8 for the full design, trial-key hashing rules, and the
 resume semantics.

@@ -40,10 +40,10 @@ class Experiment:
     #: Parameters merged under every sweep point unless overridden.
     defaults: Mapping[str, object] = field(default_factory=dict)
     #: Optional cache warmer, called with resolved params before trials
-    #: execute: once in the parent before a worker pool starts (so
-    #: fork-started workers inherit the warmed read-only state — e.g.
-    #: the :mod:`repro.netflow.model` LP model for the sweep's shared
-    #: topology) and once per spawn-started worker.  Must be a pure
+    #: execute: once in the parent before dispatch (so fork-started
+    #: workers inherit the warmed read-only state — e.g. the
+    #: :mod:`repro.netflow.model` LP model for the sweep's shared
+    #: topology) and once in every pool worker at startup.  Must be a pure
     #: cache population: results are required to be byte-identical with
     #: and without it, and any failure is swallowed (prewarming is an
     #: optimization, never a correctness dependency).

@@ -1,18 +1,18 @@
-"""Process-pool sweep execution with deterministic sharding and caching.
+"""Sweep execution with content-addressed caching and resume.
 
 The runner turns a :class:`~repro.sweeps.spec.SweepSpec` into trial
 results through four steps:
 
 1. resolve every trial's parameters (experiment defaults ∪ grid point)
    and its content-addressed key;
-2. partition the trials *not* already in the result store into
-   round-robin shards (trial ``i`` → shard ``i mod workers``) — a pure
-   function of the pending list, never of scheduling;
-3. execute each shard, serially in-process (``workers <= 1``) or on a
-   ``ProcessPoolExecutor``; workers receive the experiment *name* and
-   look the trial function up in the registry, so both fork and spawn
-   start methods work; each trial is wrapped in the bounded-retry policy
-   from :mod:`repro.resilience.policy`;
+2. drop trials already quarantined or already in the result store;
+3. hand the rest to :class:`~repro.resilience.supervisor.TrialSupervisor`,
+   the one executor: in-process for ``workers <= 1``, otherwise on its
+   worker pool, where each trial goes to whichever worker is free.
+   Workers receive the experiment *name* and look the trial function
+   up in the registry, so both fork and spawn start methods work; each
+   trial is wrapped in the bounded-retry policy from
+   :mod:`repro.resilience.policy`;
 4. append each result to the store as it lands in the parent (single
    writer by construction, so an interrupted sweep keeps everything that
    finished) and reassemble all results in trial order, so aggregates
@@ -214,49 +214,24 @@ def _run_trial_with_retry(
     return index, dict(record)
 
 
-def _execute_shard(
-    experiment_name: str, shard: List[TrialTask], retry: RetryPolicy
-) -> List[Tuple[int, Dict[str, object]]]:
-    """Worker entry point: run one shard's trials sequentially."""
-    return [_run_trial_with_retry(experiment_name, task, retry) for task in shard]
-
-
-def _prewarm_worker(
-    experiment_name: str, param_sets: List[Dict[str, object]]
-) -> None:
-    """Pool initializer: warm per-process caches in a fresh worker.
-
-    Spawn-started workers begin with cold caches (fork-started ones
-    inherit the parent's warm state, and re-warming is then a cheap
-    cache hit).  Prewarming is an optimization, never a correctness
-    dependency, so any failure is swallowed — the trial itself will
-    rebuild whatever is missing.
-    """
-    try:
-        exp = get_experiment(experiment_name)
-        if exp.prewarm is None:
-            return
-        for params in param_sets:
-            exp.prewarm(params)
-    except Exception:
-        pass
-
-
 class SweepRunner:
     """Executes sweeps for one registered experiment.
 
-    ``workers <= 1`` runs serially in-process (bit-for-bit the reference
-    execution); ``workers > 1`` uses a process pool with the given
-    multiprocessing start method (``None`` = platform default).  A
-    :class:`ResultStore` (or a path to one) enables content-addressed
-    caching; a :class:`PipelineCheckpoint` pins the sweep's spec
-    fingerprint so a resumed run cannot silently mix results from a
-    different grid.
+    Every sweep runs on :class:`TrialSupervisor`: ``workers <= 1``
+    in-process (bit-for-bit the reference execution), ``workers > 1`` on
+    its process pool with the given multiprocessing start method
+    (``None`` = platform default), where a crashed worker is respawned
+    and its trial retried.  A :class:`ResultStore` (or a path to one)
+    enables content-addressed caching; a :class:`PipelineCheckpoint`
+    pins the sweep's spec fingerprint so a resumed run cannot silently
+    mix results from a different grid.
 
-    Supervision (``supervised=True``, implied by ``trial_timeout_s``)
-    routes execution through :class:`TrialSupervisor`: per-trial
-    deadlines, crashed-worker respawn, and poison-trial quarantine —
-    see :mod:`repro.resilience.supervisor`.  ``validation`` runs the
+    ``supervised`` (implied by ``trial_timeout_s``) decides what a
+    poison trial does — one that keeps failing, timing out or crashing
+    its worker: supervised, it is quarantined and the sweep goes on;
+    otherwise the sweep stops with a :class:`SweepError` naming it.
+    ``trial_timeout_s`` sets a per-trial deadline — see
+    :mod:`repro.resilience.supervisor`.  ``validation`` runs the
     invariant suite (:mod:`repro.validate.invariants`) over every fresh
     *and* cached record: ``warn`` journals violations, ``quarantine``
     additionally keeps invalid results out of the store and the
@@ -442,126 +417,17 @@ class SweepRunner:
         ))
         return self.validation.mode == "warn"
 
-    def _prewarm_param_sets(self, pending: List[TrialTask]) -> List[Dict[str, object]]:
-        """Distinct resolved-param sets to warm caches for (bounded).
-
-        Grids typically share one workload across many (seed, method)
-        points, so a handful of distinct param sets covers the whole
-        sweep; the bound keeps pathological grids from turning the warm
-        pass into a second sweep.
-        """
-        if self.experiment.prewarm is None:
-            return []
-        seen = set()
-        out: List[Dict[str, object]] = []
-        for _index, params, _seed, _key in pending:
-            marker = repr(sorted(params.items(), key=lambda kv: kv[0]))
-            if marker in seen:
-                continue
-            seen.add(marker)
-            out.append(params)
-            if len(out) >= 8:
-                break
-        return out
-
-    def _prewarm_parent(self, param_sets: List[Dict[str, object]]) -> None:
-        """Warm this process's caches before trials execute.
-
-        With ``workers <= 1`` this just front-loads the first trial's
-        build work; with a fork-started pool the workers inherit the
-        warmed read-only state (LP model templates, the memoized micro
-        workload) at no per-worker cost.  Failures are swallowed: the
-        prewarm contract (:class:`repro.sweeps.registry.Experiment`)
-        makes it a pure optimization.
-        """
-        prewarm = self.experiment.prewarm
-        if prewarm is None:
-            return
-        for params in param_sets:
-            try:
-                prewarm(params)
-            except Exception:
-                continue
-
-    def _execute_pending(
+    def _execute(
         self, pending: List[TrialTask], cached: int, total: int, started: float
     ) -> Dict[int, Dict[str, object]]:
-        name = self.experiment.name
-        records: Dict[int, Dict[str, object]] = {}
-        prewarm_params = self._prewarm_param_sets(pending)
-        self._prewarm_parent(prewarm_params)
-        if self.workers <= 1:
-            for done, task in enumerate(pending, start=1):
-                index, record = _run_trial_with_retry(name, task, self.retry)
-                if self._admit(task, record):
-                    records[index] = record
-                    self._persist(task, record)
-                self._progress(SweepProgress(
-                    done=done, pending=len(pending), cached=cached,
-                    total=total, elapsed_s=time.monotonic() - started,
-                ))
-            return records
+        """Run the pending trials on the :class:`TrialSupervisor`.
 
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-        from concurrent.futures.process import BrokenProcessPool
-
-        n_shards = min(self.workers, len(pending))
-        shards = [pending[k::n_shards] for k in range(n_shards)]
-        context = (
-            multiprocessing.get_context(self.start_method)
-            if self.start_method
-            else None
-        )
-        by_index = {task[0]: task for task in pending}
-        done = 0
-        # Spawn-started workers warm their own caches on startup; with
-        # fork the initializer is a no-op-cheap cache hit on inherited
-        # state.
-        init_kwargs = (
-            {"initializer": _prewarm_worker, "initargs": (name, prewarm_params)}
-            if prewarm_params
-            else {}
-        )
-        try:
-            with ProcessPoolExecutor(
-                max_workers=n_shards, mp_context=context, **init_kwargs
-            ) as pool:
-                futures = [
-                    pool.submit(_execute_shard, name, shard, self.retry)
-                    for shard in shards
-                ]
-                for future in as_completed(futures):
-                    for index, record in future.result():
-                        if self._admit(by_index[index], record):
-                            records[index] = record
-                            self._persist(by_index[index], record)
-                        done += 1
-                    self._progress(SweepProgress(
-                        done=done, pending=len(pending), cached=cached,
-                        total=total, elapsed_s=time.monotonic() - started,
-                    ))
-        except BrokenProcessPool as exc:
-            raise SweepError(
-                f"worker pool died mid-sweep ({exc}); completed trials are "
-                "in the result store — re-run to resume from them"
-            ) from exc
-        return records
-
-    def _execute_supervised(
-        self, pending: List[TrialTask], cached: int, total: int, started: float
-    ) -> Dict[int, Dict[str, object]]:
-        """Run the pending trials under the :class:`TrialSupervisor`.
-
-        The supervisor owns execution (deadlines, respawn, quarantine);
-        the runner keeps validation, persistence, progress, and the
-        checkpoint via callbacks.  Even an interrupted run's incident
+        The supervisor owns execution (prewarm, deadlines, respawn, poison
+        trials); the runner keeps validation, persistence, progress, and
+        the checkpoint via callbacks.  Even an interrupted run's incident
         journal is folded into the runner's state before the
         :class:`~repro.exceptions.SweepInterrupted` propagates.
         """
-        # Fork-started supervisor workers inherit the warmed caches;
-        # spawn-started ones simply rebuild in the first trial.
-        self._prewarm_parent(self._prewarm_param_sets(pending))
         progress = {"done": 0}
 
         def on_result(
@@ -596,7 +462,8 @@ class SweepRunner:
             trial_timeout_s=self.trial_timeout_s,
             max_trial_attempts=self.max_trial_attempts,
             respawn_budget=self.respawn_budget,
-            quarantine=self.quarantine,
+            # No ledger: a poison trial stops the sweep instead.
+            quarantine=self.quarantine if self.supervised else None,
             on_result=on_result,
             on_interrupt=on_interrupt,
         )
@@ -669,16 +536,9 @@ class SweepRunner:
             done=0, pending=len(pending), cached=len(cached_records),
             total=len(tasks), elapsed_s=time.monotonic() - started,
         ))
-        if not pending:
-            executed: Dict[int, Dict[str, object]] = {}
-        elif self.supervised:
-            executed = self._execute_supervised(
-                pending, len(cached_records), len(tasks), started
-            )
-        else:
-            executed = self._execute_pending(
-                pending, len(cached_records), len(tasks), started
-            )
+        executed = self._execute(
+            pending, len(cached_records), len(tasks), started
+        )
 
         outcomes: List[TrialOutcome] = []
         for index, params, seed, key in tasks:
@@ -729,37 +589,6 @@ class SweepRunner:
         return result
 
 
-def run_sweep(
-    experiment: str,
-    spec: SweepSpec,
-    *,
-    workers: int = 0,
-    start_method: Optional[str] = None,
-    retry: Optional[RetryPolicy] = None,
-    store: Union[ResultStore, str, None] = None,
-    checkpoint: Optional[PipelineCheckpoint] = None,
-    on_progress: Optional[Callable[[SweepProgress], None]] = None,
-    trial_timeout_s: Optional[float] = None,
-    supervised: Optional[bool] = None,
-    validation: Union[str, ValidationPolicy] = "off",
-    quarantine: Union[QuarantineLog, str, None] = None,
-    max_trial_attempts: int = 2,
-    respawn_budget: int = 8,
-) -> SweepResult:
-    """One-call convenience wrapper around :class:`SweepRunner`."""
-    runner = SweepRunner(
-        experiment,
-        workers=workers,
-        start_method=start_method,
-        retry=retry,
-        store=store,
-        checkpoint=checkpoint,
-        on_progress=on_progress,
-        trial_timeout_s=trial_timeout_s,
-        supervised=supervised,
-        validation=validation,
-        quarantine=quarantine,
-        max_trial_attempts=max_trial_attempts,
-        respawn_budget=respawn_budget,
-    )
-    return runner.run(spec)
+def run_sweep(experiment: str, spec: SweepSpec, **options) -> SweepResult:
+    """One-call convenience wrapper: ``SweepRunner(experiment, **options).run(spec)``."""
+    return SweepRunner(experiment, **options).run(spec)

@@ -13,11 +13,13 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 
 import pytest
 
 from repro.exceptions import SweepError
+from repro.resilience import supervisor as supervisor_mod
 from repro.resilience.supervisor import (
     IncidentRecord,
     QuarantineLog,
@@ -218,12 +220,38 @@ class TestSerialSupervision:
         assert [i.kind for i in second.incidents] == ["quarantine-skip"]
         assert not second.quarantined  # skip is not a fresh quarantine
 
+    def test_unenforceable_deadline_refused_off_main_thread(self, tmp_path):
+        """SIGALRM can only be armed on the main thread, so an in-process
+        run with a deadline from any other thread must refuse to start
+        rather than silently run without its deadline."""
+        log = str(tmp_path / "log.txt")
+        spec = _spec(n=2, slow_x=1.0, sleep_s=1.0, log=log)
+        caught = []
+
+        def body():
+            try:
+                run_sweep("_sup_sleep", spec, workers=0, trial_timeout_s=0.2)
+            except Exception as exc:
+                caught.append(exc)
+
+        thread = threading.Thread(target=body)
+        thread.start()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert len(caught) == 1 and isinstance(caught[0], SweepError)
+        assert "trial_timeout_s" in str(caught[0])
+        assert _read_log(log) == []  # refused before any trial ran
+
 
 @needs_fork
 class TestPoolSupervision:
-    def test_worker_crash_respawn_and_byte_identical_aggregates(self, tmp_path):
+    @pytest.mark.parametrize("supervised", [True, False])
+    def test_worker_crash_respawn_and_byte_identical_aggregates(
+        self, tmp_path, supervised
+    ):
         """A killed worker is replaced and the retried trial's record is
-        byte-identical to a serial run's — the satellite-2 regression."""
+        byte-identical to a serial run's, whether or not the sweep is
+        supervised (supervision only decides what a poison trial does)."""
         log = str(tmp_path / "log.txt")
         marker = str(tmp_path / "crash")
         spec = _spec(n=4, crash_x=2.0, marker=marker, log=log)
@@ -236,13 +264,13 @@ class TestPoolSupervision:
                            store=serial_store)
         assert serial.executed == 4
 
-        # Supervised pool: the crash is armed; worker 2 dies mid-trial.
+        # Pool: the crash is armed; worker 2 dies mid-trial.
         os.unlink(f"{marker}.2.0")
         os.unlink(log)
         pool_store = str(tmp_path / "pool.jsonl")
         result = run_sweep(
             "_sup_crash_once", spec, workers=2, start_method="fork",
-            supervised=True, store=pool_store,
+            supervised=supervised, store=pool_store,
             quarantine=str(tmp_path / "q.jsonl"),
         )
         assert result.respawns == 1
@@ -276,14 +304,15 @@ class TestPoolSupervision:
         # No worker ever died: the alarm interrupts the sleep in-process.
         assert result.respawns == 0
 
-    def test_watchdog_kills_deaf_worker(self, tmp_path):
+    def test_watchdog_kills_deaf_worker(self, tmp_path, monkeypatch):
         """A trial that hangs with its alarm disabled is killed from the
         parent via the heartbeat watchdog and quarantined."""
+        monkeypatch.setattr(supervisor_mod, "WATCHDOG_GRACE_S", 0.4)
         log = str(tmp_path / "log.txt")
         spec = _spec(n=3, hang_x=1.0, log=log)
         supervisor = TrialSupervisor(
             "_sup_deaf_hang", workers=2, start_method="fork",
-            trial_timeout_s=0.4, watchdog_grace_s=0.4,
+            trial_timeout_s=0.4,
             max_trial_attempts=2,
             quarantine=QuarantineLog(tmp_path / "q.jsonl"),
         )
@@ -418,8 +447,6 @@ class _FakeProcess:
 
 def _run_watchdog_briefly(supervisor, duration_s=0.35):
     """Run the watchdog loop in a thread for a bounded window."""
-    import threading
-
     thread = threading.Thread(target=supervisor._watchdog_loop, daemon=True)
     thread.start()
     time.sleep(duration_s)
@@ -434,8 +461,6 @@ class TestMonotonicWatchdog:
 
     def _supervisor(self, **kwargs):
         kwargs.setdefault("trial_timeout_s", 5.0)
-        kwargs.setdefault("watchdog_grace_s", 5.0)
-        kwargs.setdefault("poll_interval_s", 0.02)
         return TrialSupervisor("_sup_sleep", workers=2, **kwargs)
 
     def _fake_worker(self, tmp_path, *, started_mono, started_wall):
@@ -470,9 +495,7 @@ class TestMonotonicWatchdog:
     def test_monotonic_overrun_kills_despite_fresh_wall_stamp(self, tmp_path):
         """The converse: a genuinely hung trial is killed even if a wall
         step makes its wall stamp look recent."""
-        supervisor = self._supervisor(
-            trial_timeout_s=0.05, watchdog_grace_s=0.05
-        )
+        supervisor = self._supervisor(trial_timeout_s=0.05)
         worker = self._fake_worker(
             tmp_path,
             started_mono=time.monotonic() - 120.0,  # hung for 2 minutes

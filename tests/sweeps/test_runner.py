@@ -25,6 +25,16 @@ from repro.sweeps.runner import (
 from repro.sweeps.spec import Axis, SweepSpec
 
 START_METHODS = multiprocessing.get_all_start_methods()
+needs_fork = pytest.mark.skipif("fork" not in START_METHODS, reason="no fork")
+#: In-process, and a 2-worker fork pool: every failure-path contract
+#: must hold on both.
+SERIAL_AND_POOL = pytest.mark.parametrize(
+    "workers", [0, pytest.param(2, marks=needs_fork)]
+)
+
+
+def _pool_options(workers):
+    return {"workers": workers, "start_method": "fork"} if workers > 1 else {}
 
 
 def _read_log(path):
@@ -125,10 +135,11 @@ class TestSerialExecution:
             run_sweep("_test_non_mapping", spec)
         assert "mapping" in str(exc.value)
 
-    def test_failure_names_the_trial(self):
+    @SERIAL_AND_POOL
+    def test_failure_names_the_trial(self, workers):
         spec = SweepSpec(axes=(Axis("scale", (-1.0,)),))
         with pytest.raises(SweepError) as exc:
-            run_sweep("demo", spec)
+            run_sweep("demo", spec, **_pool_options(workers))
         assert "scale" in str(exc.value)
 
 
@@ -264,7 +275,8 @@ class TestRetry:
         # Every trial failed once and succeeded on the retry.
         assert len(_read_log(tmp_path / "log")) == 6
 
-    def test_retries_bounded(self, tmp_path):
+    @SERIAL_AND_POOL
+    def test_retries_bounded(self, tmp_path, workers):
         spec = SweepSpec(
             axes=(Axis("x", (0,)),),
             base={"log": str(tmp_path / "log"),
@@ -275,7 +287,8 @@ class TestRetry:
             max_attempts=1, base_delay_s=0.0, max_delay_s=0.0, jitter=0.0
         )
         with pytest.raises(SweepError) as exc:
-            run_sweep("_test_flaky", spec, retry=no_retry)
+            run_sweep("_test_flaky", spec, retry=no_retry,
+                      **_pool_options(workers))
         assert "1 attempt" in str(exc.value)
 
 
@@ -450,26 +463,28 @@ class TestPrewarm:
             group_by=["x"]
         )
 
-    @pytest.mark.skipif("fork" not in START_METHODS, reason="no fork")
-    def test_fork_pool_prewarms_and_matches_serial(self, tmp_path):
+    @needs_fork
+    @pytest.mark.parametrize("supervised", [False, True])
+    def test_fork_pool_prewarms_and_matches_serial(self, tmp_path, supervised):
         spec = self._spec(tmp_path)  # same spec: seeds derive from params
         serial = run_sweep("_test_prewarmed", spec)
         pooled = run_sweep("_test_prewarmed", spec, workers=2,
-                           start_method="fork")
+                           start_method="fork", supervised=supervised)
         assert [o.record for o in pooled.outcomes] == [
             o.record for o in serial.outcomes
         ]
         lines = _read_log(tmp_path / "prewarm.log")
         # The parent warmed each param set in both runs (serial + pooled
-        # pre-pool warm); worker initializers add their own lines.
+        # pre-dispatch warm); every pool worker warms at startup too.
         parent = [l for l in lines if l.startswith(f"{os.getpid()}:")]
         assert sorted(l.split(":")[1] for l in parent) == [
             "0", "0", "1", "1", "2", "2"
         ]
+        assert {l.split(":")[0] for l in lines} - {str(os.getpid())}
 
     @pytest.mark.skipif("fork" not in START_METHODS, reason="no fork")
     def test_builtin_experiments_still_poolable_without_prewarm(self):
-        """No prewarm hook → no initializer: the pool path is unchanged."""
+        """No prewarm hook → nothing to warm: the pool path is unchanged."""
         serial = run_sweep("demo", demo_spec(n=2))
         pooled = run_sweep("demo", demo_spec(n=2), workers=2,
                            start_method="fork")
