@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import FrozenSet, Iterable, Iterator, List, Set, Tuple
 
 from repro.topology.graph import Network
-from repro.netflow.paths import all_pairs_shortest_paths
+from repro.netflow.paths import collapsed_graph, shortest_paths_from
 
 
 def single_link_failures(link_ids: Iterable[str]) -> Iterator[FrozenSet[str]]:
@@ -39,22 +39,23 @@ def primary_path_failures(
     link set.  Pairs with no path yield no scenario (the TM check itself
     will catch disconnection).  Duplicate link sets are deduplicated while
     keeping the first pair label, since removing the same links twice
-    proves nothing new.
+    proves nothing new.  Pairs come in sorted order, and each source's
+    shortest paths are computed only once the scenarios before them have
+    been consumed, so a caller that stops at the first failing scenario
+    pays for no more sources than it reached.
     """
-    subnet = network.restricted_to_links(set(link_ids))
-    sp = all_pairs_shortest_paths(subnet)
+    graph = collapsed_graph(network.link(lid) for lid in sorted(set(link_ids)))
     seen: Set[FrozenSet[str]] = set()
-    for (src, dst) in sorted(sp):
-        if src > dst:
-            continue  # undirected pair; one direction suffices
-        path = sp[(src, dst)]
-        if not path.link_ids:
-            continue
-        scenario = frozenset(path.link_ids)
-        if scenario in seen:
-            continue
-        seen.add(scenario)
-        yield (src, dst), scenario
+    for src in sorted(graph):
+        paths = shortest_paths_from(graph, src)
+        for dst in sorted(paths):
+            if dst <= src:
+                continue  # undirected pair; one direction suffices
+            scenario = frozenset(paths[dst][1])
+            if scenario in seen:
+                continue
+            seen.add(scenario)
+            yield (src, dst), scenario
 
 
 def node_failures(node_ids: Iterable[str], network: Network) -> Iterator[Tuple[str, FrozenSet[str]]]:

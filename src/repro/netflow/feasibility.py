@@ -107,14 +107,14 @@ def _routed_verdict(outcome: RoutingOutcome, subnet: Network) -> FeasibilityResu
 class MCFOracle(BaseOracle):
     """Exact feasibility via the max-concurrent-flow LP.
 
-    Solves run on a warm :class:`repro.netflow.model.McfModel` shared
-    process-wide by workload content: the 65+ subset queries a single
-    selection makes — and every selection over the same (topology, TM)
-    after it — reuse one pre-assembled LP instead of rebuilding it per
-    call.  Subsets whose demand provably exceeds a node's incident cut
-    capacity are answered without any LP solve; such verdicts carry
-    ``headroom=0.0`` rather than the exact (sub-1) λ, which no consumer
-    of infeasible verdicts reads.
+    Verdicts come from :meth:`repro.netflow.model.McfModel.verdict` on a
+    warm model shared process-wide by workload content: the 65+ subset
+    queries a single selection makes — and every selection over the
+    same (topology, TM) after it — reuse one pre-assembled LP and its
+    memo instead of rebuilding it per call.  Subsets whose demand
+    provably exceeds a node's incident cut capacity are answered without
+    any LP solve; such verdicts carry ``headroom=0.0`` rather than the
+    exact (sub-1) λ, which no consumer of infeasible verdicts reads.
     """
 
     name = "mcf"
@@ -122,13 +122,9 @@ class MCFOracle(BaseOracle):
     def __init__(self, network: Network, tm: TrafficMatrix) -> None:
         super().__init__(network, tm)
         self._model = get_model(network, tm)
-        self.shortcircuits = 0
 
     def _evaluate(self, key: FrozenSet[str]) -> FeasibilityResult:
-        if self._model.cut_infeasible(key):
-            self.shortcircuits += 1
-            return FeasibilityResult(feasible=False, headroom=0.0, link_loads=None)
-        return _lp_verdict(self._model.solve(key))
+        return _lp_verdict(self._model.verdict(key))
 
 
 class PathOracle(BaseOracle):

@@ -159,6 +159,11 @@ def _run_highs(c, indptr, indices, data, lhs, rhs, lb, ub):
 #: HiGHS's 1e-7 feasibility tolerance, so it can never contradict the LP.
 _CUT_MARGIN = 1e-4
 
+#: :meth:`McfModel.verdict`'s answer when the cut test proves infeasibility.
+CUT_INFEASIBLE = MCFResult(
+    lam=0.0, feasible=False, status=2, message="demand exceeds a node's cut capacity"
+)
+
 
 class McfModel:
     """A reusable max-concurrent-flow LP over one (network, TM) pair.
@@ -271,49 +276,40 @@ class McfModel:
         Bit-identical to
         ``max_concurrent_flow(network.restricted_to_links(link_ids), tm)``.
         """
-        key = self._link_set if link_ids is None else frozenset(link_ids)
-        missing = key - self._link_set
-        if missing:
-            raise UnknownLinkError(sorted(missing)[0])
+        key = self._subset(link_ids)
         memo_key = (key, keep_flows)
-        cached = self._memo.get(memo_key)
-        if cached is not None:
-            self.memo_hits += 1
-            self._memo.move_to_end(memo_key)
-            metrics().inc("mcf.memo_hits")
-            return cached
-        result = self._solve_uncached(key, keep_flows)
-        self._memo[memo_key] = result
-        if len(self._memo) > MEMO_SIZE:
-            self._memo.popitem(last=False)
+        result = self._recall(memo_key)
+        if result is None:
+            result = self._solve_uncached(key, keep_flows)
+            self._memo[memo_key] = result
+            if len(self._memo) > MEMO_SIZE:
+                self._memo.popitem(last=False)
         return result
 
-    def feasible(self, link_ids: Optional[Iterable[str]] = None) -> bool:
-        """Can the subset carry the TM?  May skip the LP entirely.
+    def verdict(self, link_ids: Optional[Iterable[str]] = None) -> MCFResult:
+        """Can the subset carry the TM?  Memo, then cut test, then LP.
 
-        The cut short circuit answers "no" without solving when some node's
-        egress or ingress demand exceeds the cut capacity of its incident
-        kept links (with margin, so it can never contradict the LP).
+        The cut test answers "no" without solving when some node's egress
+        or ingress demand exceeds the cut capacity of its incident kept
+        links (with margin, so it can never contradict the LP).  Its
+        answer is :data:`CUT_INFEASIBLE`, whose λ is 0 rather than the
+        exact (sub-1) λ, and it is not memoized.
         """
-        key = self._link_set if link_ids is None else frozenset(link_ids)
-        missing = key - self._link_set
-        if missing:
-            raise UnknownLinkError(sorted(missing)[0])
-        if self._empty_tm:
-            return True
-        if not key:
-            return False
-        memo_key = (key, False)
-        cached = self._memo.get(memo_key)
-        if cached is not None:
-            self.memo_hits += 1
-            metrics().inc("mcf.memo_hits")
-            return cached.feasible
+        key = self._subset(link_ids)
+        result = self._recall((key, False))
+        if result is not None:
+            return result
         if self.cut_infeasible(key):
             self.cut_shortcircuits += 1
             metrics().inc("mcf.cut_shortcircuits")
-            return False
-        return self.solve(key).feasible
+            return CUT_INFEASIBLE
+        # Via solve() (whose memo lookup misses again), so every LP solve
+        # runs inside the method the benchmark times as netflow.lp_solve.
+        return self.solve(key)
+
+    def feasible(self, link_ids: Optional[Iterable[str]] = None) -> bool:
+        """``verdict(link_ids).feasible``."""
+        return self.verdict(link_ids).feasible
 
     def cut_infeasible(self, link_ids: Iterable[str]) -> bool:
         """True when a node's demand provably exceeds its incident cut.
@@ -337,6 +333,22 @@ class McfModel:
         self._memo.clear()
 
     # -- internals -----------------------------------------------------------
+
+    def _subset(self, link_ids: Optional[Iterable[str]]) -> FrozenSet[str]:
+        key = self._link_set if link_ids is None else frozenset(link_ids)
+        missing = key - self._link_set
+        if missing:
+            raise UnknownLinkError(sorted(missing)[0])
+        return key
+
+    def _recall(self, memo_key: Tuple[FrozenSet[str], bool]) -> Optional[MCFResult]:
+        """The memoized result, if any, marked as the most recently used."""
+        cached = self._memo.get(memo_key)
+        if cached is not None:
+            self.memo_hits += 1
+            self._memo.move_to_end(memo_key)
+            metrics().inc("mcf.memo_hits")
+        return cached
 
     def _positions(self, link_ids: Iterable[str]) -> np.ndarray:
         pos = self._link_pos

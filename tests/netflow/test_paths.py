@@ -6,6 +6,7 @@ from repro.exceptions import FlowError, UnknownNodeError
 from repro.netflow.paths import (
     Path,
     all_pairs_shortest_paths,
+    collapsed_graph,
     k_shortest_paths,
     shortest_path,
 )
@@ -70,6 +71,34 @@ class TestShortestPath:
         )
         p = shortest_path(square, "A", "C")
         assert p.link_ids == ("AC2",)
+
+    def test_equal_length_parallel_with_more_capacity_wins(self, square):
+        # AB (10 Gbps) came first and has the smaller id; neither decides.
+        square.add_link(
+            Link(id="AB0", u="B", v="A", capacity_gbps=40.0, length_km=100.0)
+        )
+        assert collapsed_graph(square.iter_links())["A"]["B"] == (100.0, "AB0")
+        assert shortest_path(square, "A", "B").link_ids == ("AB0",)
+        assert all_pairs_shortest_paths(square)[("B", "A")].link_ids == ("AB0",)
+
+
+UNKNOWN_WEIGHT_CALLS = {
+    "shortest": lambda net: shortest_path(net, "A", "C", weight="bogus"),
+    "shortest-trivial": lambda net: shortest_path(net, "A", "A", weight="bogus"),
+    "k-shortest": lambda net: k_shortest_paths(net, "A", "C", 2, weight="bogus"),
+    "all-pairs": lambda net: all_pairs_shortest_paths(net, weight="bogus"),
+    "all-pairs-no-links": lambda net: all_pairs_shortest_paths(
+        net.restricted_to_links([]), weight="bogus"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call", list(UNKNOWN_WEIGHT_CALLS.values()), ids=list(UNKNOWN_WEIGHT_CALLS)
+)
+def test_unknown_weight_rejected(square, call):
+    with pytest.raises(ValueError, match="unknown weight 'bogus'"):
+        call(square)
 
 
 class TestKShortest:

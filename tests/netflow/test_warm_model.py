@@ -117,6 +117,28 @@ class TestMemoIsolation:
         model.solve({"AB", "BC", "CD", "DA"})  # re-solved, not remembered
         assert model.solves == solves_before + 1
 
+    def test_feasible_hits_refresh_recency(self, monkeypatch):
+        """A subset only ever asked through feasible() must not age out."""
+        monkeypatch.setattr(model_module, "MEMO_SIZE", 2)
+        net, tm = diamond_network(), diamond_tm()
+        model = McfModel(net, tm)
+        ring = frozenset({"AB", "BC", "CD", "DA"})
+        assert model.feasible(ring)
+        model.feasible(net.link_ids)
+        model.feasible(ring)  # a hit: ring is now the most recent entry
+        model.feasible({"AB", "BC", "CD", "AC"})  # evicts the full set
+        solves_before = model.solves
+        assert model.feasible(ring)
+        assert model.solves == solves_before
+
+    def test_memo_answers_before_cut_test(self, monkeypatch):
+        """A memoized subset is answered without running the cut test."""
+        model = McfModel(diamond_network(), diamond_tm())
+        ring = frozenset({"AB", "BC", "CD", "DA"})
+        model.solve(ring)
+        monkeypatch.setattr(model, "cut_infeasible", None)  # would raise if called
+        assert model.verdict(ring) is model.solve(ring)
+
     def test_clear_memo(self):
         model = McfModel(diamond_network(), diamond_tm())
         model.solve()

@@ -105,6 +105,21 @@ class TestWorkerIndependence:
             assert a[key]["trial.attempts"] == 1
 
 
+class TestCutShortCircuitCounter:
+    def test_constraint3_trial_records_cut_shortcircuits(self, tmp_path):
+        """Cut-test answers the MCF oracle gets are counted per trial."""
+        path = tmp_path / "m.jsonl"
+        obs.configure(metrics_path=str(path), propagate=False)
+        spec = SweepSpec(
+            axes=(Axis("seed", (0,)),),
+            base={"preset": "micro", "constraints": "1,2,3", "engine": "mcf",
+                  "method": "add-prune"},
+        )
+        run_sweep("figure2", spec)
+        (counters,) = _trial_counters(path).values()
+        assert counters.get("mcf.cut_shortcircuits", 0) > 0
+
+
 class TestByteIdenticalAggregates:
     def test_sweep_json_unchanged_by_obs_flags(self, tmp_path):
         base = ["sweep", "--experiment", "figure2", "--preset", "micro",
