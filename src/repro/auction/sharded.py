@@ -42,6 +42,7 @@ practice anyway).
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
@@ -511,8 +512,28 @@ def clear_sharded(
 
 # -- the sweepable continental workload ---------------------------------------
 
-#: Per-process memo: sweep workers rebuild the workload once, not per trial.
-_WORKLOAD_MEMO: Dict[Tuple, Tuple] = {}
+#: Continental workloads (zoo, TM, partition) a process keeps, and offer
+#: sets per workload and offer seed, each memo least recently used out:
+#: sweep workers build a workload once, not per trial, and a stream of
+#: offer seeds neither rebuilds the zoo nor grows memory.
+WORKLOAD_MEMO_SIZE = 4
+OFFERS_MEMO_SIZE = 8
+
+_WORKLOAD_MEMO: "OrderedDict[Tuple, Tuple]" = OrderedDict()
+_OFFERS_MEMO: "OrderedDict[Tuple, Tuple]" = OrderedDict()
+
+
+def _memo_get(memo: "OrderedDict[Tuple, Tuple]", key: Tuple) -> Optional[Tuple]:
+    value = memo.get(key)
+    if value is not None:
+        memo.move_to_end(key)
+    return value
+
+
+def _memo_put(memo: "OrderedDict[Tuple, Tuple]", key: Tuple, value: Tuple, size: int) -> None:
+    memo[key] = value
+    if len(memo) > size:
+        memo.popitem(last=False)
 
 
 def continental_workload(
@@ -529,12 +550,29 @@ def continental_workload(
     (:mod:`repro.traffic.hierarchy`), scaled so total demand is
     ``load_fraction`` of total offered capacity — the same loading
     convention as :func:`repro.experiments.pipeline.traffic_for_zoo`.
+    Only the offers depend on ``offer_seed``.
     """
-    key = (preset, seed, load_fraction, inter_region_fraction, offer_seed)
-    cached = _WORKLOAD_MEMO.get(key)
+    base_key = (preset, seed, load_fraction, inter_region_fraction)
+    key = base_key + (offer_seed,)
+    cached = _memo_get(_OFFERS_MEMO, key)
     if cached is not None:
         return cached
     from repro.experiments.pipeline import offers_for_zoo
+
+    base = _memo_get(_WORKLOAD_MEMO, base_key)
+    if base is None:
+        base = _build_workload(preset, seed, load_fraction, inter_region_fraction)
+        _memo_put(_WORKLOAD_MEMO, base_key, base, WORKLOAD_MEMO_SIZE)
+    zoo, tm, partition = base
+    value = (zoo, offers_for_zoo(zoo, seed=offer_seed), tm, partition)
+    _memo_put(_OFFERS_MEMO, key, value, OFFERS_MEMO_SIZE)
+    return value
+
+
+def _build_workload(
+    preset: str, seed: int, load_fraction: float, inter_region_fraction: float
+) -> Tuple:
+    """(zoo, tm, partition): everything but the offers."""
     from repro.topology.continental import ContinentalConfig, build_continental
     from repro.traffic.hierarchy import (
         RegionProfile,
@@ -564,11 +602,8 @@ def continental_workload(
             catalog=zoo.catalog,
             inter_region_fraction=inter_region_fraction,
         )
-        offers = offers_for_zoo(zoo, seed=offer_seed)
         partition = RegionPartition.from_sites(zoo.sites, catalog=zoo.catalog)
-    value = (zoo, offers, tm, partition)
-    _WORKLOAD_MEMO[key] = value
-    return value
+    return zoo, tm, partition
 
 
 def region_clear_record(

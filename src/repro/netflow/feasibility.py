@@ -20,7 +20,7 @@ because the greedy-drop selection re-tests overlapping subsets constantly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, Optional
+from typing import Callable, Dict, FrozenSet, Iterable, Optional, Union
 
 from repro.exceptions import FlowError
 from repro.topology.graph import Network
@@ -50,9 +50,12 @@ class BaseOracle:
     """Shared caching machinery for all oracles.
 
     Engines implement :meth:`_evaluate`; :meth:`check` memoizes it per
-    link subset and keeps the counters.  Every engine raises
-    :class:`~repro.exceptions.UnknownLinkError` for a link id the
-    network does not have.
+    link subset and keeps the counters.  :meth:`feasible` shares the
+    cache and counters; an engine that can answer yes/no more cheaply
+    than a full result overrides :meth:`_feasible`, and the cache then
+    holds that bare verdict until :meth:`check` asks for the result.
+    Every engine raises :class:`~repro.exceptions.UnknownLinkError` for
+    a link id the network does not have.
     """
 
     #: Human-readable engine name (used in reports and ablation benches).
@@ -62,7 +65,7 @@ class BaseOracle:
         tm.validate_against(network.node_ids)
         self.network = network
         self.tm = tm
-        self._cache: Dict[FrozenSet[str], FeasibilityResult] = {}
+        self._cache: Dict[FrozenSet[str], Union[FeasibilityResult, bool]] = {}
         self.evaluations = 0
         self.cache_hits = 0
 
@@ -70,20 +73,34 @@ class BaseOracle:
         """Evaluate feasibility of the subset, with memoization."""
         key = frozenset(link_ids)
         cached = self._cache.get(key)
-        if cached is not None:
+        if cached is None:
+            self.evaluations += 1
+        else:
             self.cache_hits += 1
-            return cached
-        self.evaluations += 1
+            if isinstance(cached, FeasibilityResult):
+                return cached
         result = self._evaluate(key)
         self._cache[key] = result
         return result
 
     def feasible(self, link_ids: Iterable[str]) -> bool:
-        return self.check(link_ids).feasible
+        """Can the subset carry the TM?  Memoized with :meth:`check`."""
+        key = frozenset(link_ids)
+        cached = self._cache.get(key)
+        if cached is None:
+            self.evaluations += 1
+            cached = self._cache[key] = self._feasible(key)
+        else:
+            self.cache_hits += 1
+        return cached if isinstance(cached, bool) else cached.feasible
 
     def _evaluate(self, key: FrozenSet[str]) -> FeasibilityResult:
-        """The uncached verdict for one subset."""
+        """The uncached result for one subset."""
         raise NotImplementedError
+
+    def _feasible(self, key: FrozenSet[str]) -> Union[FeasibilityResult, bool]:
+        """The uncached yes/no answer for one subset (default: the full result)."""
+        return self._evaluate(key)
 
 
 def _lp_verdict(solved: MCFResult) -> FeasibilityResult:
@@ -107,7 +124,7 @@ def _routed_verdict(outcome: RoutingOutcome, subnet: Network) -> FeasibilityResu
 class MCFOracle(BaseOracle):
     """Exact feasibility via the max-concurrent-flow LP.
 
-    Verdicts come from :meth:`repro.netflow.model.McfModel.verdict` on a
+    Results come from :meth:`repro.netflow.model.McfModel.verdict` on a
     warm model shared process-wide by workload content: the 65+ subset
     queries a single selection makes — and every selection over the
     same (topology, TM) after it — reuse one pre-assembled LP and its
@@ -115,6 +132,9 @@ class MCFOracle(BaseOracle):
     provably exceeds a node's incident cut capacity are answered without
     any LP solve; such verdicts carry ``headroom=0.0`` rather than the
     exact (sub-1) λ, which no consumer of infeasible verdicts reads.
+    Yes/no questions (:meth:`feasible`) go to
+    :meth:`~repro.netflow.model.McfModel.feasible`, which may also answer
+    from an earlier solve's certificate.
     """
 
     name = "mcf"
@@ -125,6 +145,9 @@ class MCFOracle(BaseOracle):
 
     def _evaluate(self, key: FrozenSet[str]) -> FeasibilityResult:
         return _lp_verdict(self._model.verdict(key))
+
+    def _feasible(self, key: FrozenSet[str]) -> bool:
+        return self._model.feasible(key)
 
 
 class PathOracle(BaseOracle):

@@ -29,6 +29,12 @@ end; ``tests/property/test_prop_warm_mcf.py`` asserts this over
 hundreds of seeded cases against the reference assembly kept in
 ``tests/netflow/reference_mcf.py``.
 
+Yes/no questions (:meth:`McfModel.feasible`) may skip the LP: every
+solve leaves a certificate — a feasible subset's routing, an infeasible
+one's capacity duals — that settles many nearby subsets with a margin
+the LP can never contradict.  ``solve()`` and ``verdict()`` never answer
+from a certificate, so every result they return is an LP result.
+
 :class:`ModelCache` keys models by *content* (node order, sorted link
 attributes, TM entries) rather than object identity, so freshly rebuilt
 but identical workloads — e.g. every trial of the figure2 micro grid —
@@ -39,7 +45,9 @@ parent's warmed cache read-only.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from functools import reduce
+from operator import or_
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 import scipy.optimize._highspy._core as _h  # type: ignore
@@ -50,6 +58,8 @@ from scipy.optimize._highspy._core import (  # type: ignore
 )
 from scipy.optimize._linprog_highs import _highs_to_scipy_status_message  # type: ignore
 from scipy.optimize._linprog_util import _check_result  # type: ignore
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from repro.exceptions import FlowError, UnknownLinkError
 from repro.obs import metrics, span
@@ -94,7 +104,9 @@ def _run_highs(c, indptr, indices, data, lhs, rhs, lb, ub):
     re-validation and the Lagrange-multiplier extraction loops.  The
     model and options handed to ``Highs.run`` are exactly what scipy
     would pass, and status/message strings are reproduced verbatim, so
-    downstream bytes cannot tell the difference.
+    downstream bytes cannot tell the difference.  The raw row duals come
+    back too (``row_dual``): the model keeps an infeasible solve's
+    capacity-row duals as a certificate.
     """
     lp = _h.HighsLp()
     lp.num_col_ = c.size
@@ -147,22 +159,67 @@ def _run_highs(c, indptr, indices, data, lhs, rhs, lb, ub):
             "x": np.array(solution.col_value),
             "slack": rhs - solution.row_value,
             "fun": info.objective_function_value,
+            "row_dual": np.array(solution.row_dual),
         }
     )
     return res
 
 
-#: Relative demand margin for the cut-capacity short circuit.  The LP
-#: calls a subset feasible when λ >= 1 - 1e-7; the short circuit only
-#: answers "infeasible" when the structural bound λ* <= cap/demand sits
-#: below 1 - 1e-4, comfortably clear of both that verdict threshold and
-#: HiGHS's 1e-7 feasibility tolerance, so it can never contradict the LP.
+#: Relative demand margin for the cut-capacity short circuit and the
+#: certificates.  The LP calls a subset feasible when λ >= 1 - 1e-7; the
+#: shortcuts only answer when they prove λ* <= 1 - 1e-4 (infeasible) or
+#: λ* >= 1 / (1 - 1e-4) (feasible), comfortably clear of both that
+#: verdict threshold and HiGHS's 1e-7 feasibility tolerance, so they can
+#: never contradict the LP.
 _CUT_MARGIN = 1e-4
 
 #: :meth:`McfModel.verdict`'s answer when the cut test proves infeasibility.
 CUT_INFEASIBLE = MCFResult(
     lam=0.0, feasible=False, status=2, message="demand exceeds a node's cut capacity"
 )
+
+#: Certificates a model keeps per kind (feasible routings, infeasibility
+#: duals), most recent first.
+CERTIFICATES = 16
+
+#: What an int memo key's two low bits say its entry holds: the
+#: ``solve()`` result without or with routing detail, or a certified
+#: yes/no verdict (a bool) that only ``feasible()`` reads.
+_PLAIN, _FLOWS, _CERTIFIED = 0, 1, 2
+
+
+class _Subset:
+    """A link subset: its bitmask over a model's sorted link positions."""
+
+    __slots__ = ("mask", "_n_links", "_links")
+
+    def __init__(self, mask: int, n_links: int) -> None:
+        self.mask = mask
+        self._n_links = n_links
+        self._links: Optional[np.ndarray] = None
+
+    @property
+    def links(self) -> np.ndarray:
+        """The subset as a bool array over link positions (built on first use:
+        memo hits need only the mask)."""
+        if self._links is None:
+            raw = np.frombuffer(self.mask.to_bytes((self._n_links + 7) // 8, "little"), np.uint8)
+            self._links = np.unpackbits(raw, count=self._n_links, bitorder="little").view(bool)
+        return self._links
+
+
+def _bit_positions(mask: int) -> List[int]:
+    positions = []
+    while mask:
+        low = mask & -mask
+        positions.append(low.bit_length() - 1)
+        mask ^= low
+    return positions
+
+
+def _remember_certificate(store: list, certificate: tuple) -> None:
+    store.insert(0, certificate)
+    del store[CERTIFICATES:]
 
 
 class McfModel:
@@ -184,10 +241,15 @@ class McfModel:
         tm.validate_against(network.node_ids)
         self.network = network
         self.tm = tm
-        self._memo: "OrderedDict[Tuple[FrozenSet[str], bool], MCFResult]" = OrderedDict()
+        self._memo: "OrderedDict[int, Union[MCFResult, bool]]" = OrderedDict()
         self.memo_hits = 0
         self.solves = 0
         self.cut_shortcircuits = 0
+        self.certified = 0
+        #: (subset mask, per-arc load of a TM routing within the arc limits)
+        self._routings: List[Tuple[int, np.ndarray]] = []
+        #: (subset mask, per-arc dual lengths ℓ, Σ d·dist_ℓ over the subset)
+        self._duals: List[Tuple[int, np.ndarray, float]] = []
 
         demands = [(pair, v) for pair, v in tm.pairs() if v > 0]
         self._empty_tm = not demands
@@ -200,8 +262,9 @@ class McfModel:
         links = sorted(network.iter_links(), key=lambda link: link.id)
         self._link_ids: List[str] = [link.id for link in links]
         self._link_set: FrozenSet[str] = frozenset(self._link_ids)
-        self._link_pos: Dict[str, int] = {lid: i for i, lid in enumerate(self._link_ids)}
+        self._link_bit: Dict[str, int] = {lid: 1 << i for i, lid in enumerate(self._link_ids)}
         n_links = len(links)
+        self._all = _Subset((1 << n_links) - 1, n_links)
 
         with span("mcf.model_build", links=n_links, sources=self._n_src, nodes=self._n_nodes):
             # Directed arcs in sorted-link, forward-then-reverse order.
@@ -225,15 +288,23 @@ class McfModel:
             self._arc_val_lo = np.empty(n_arcs)
             self._arc_val_hi = np.empty(n_arcs)
             self._arc_cap = np.empty(n_arcs)
+            self._arc_ends: List[Tuple[int, int]] = []
+            self._out_arcs: List[List[Tuple[int, int]]] = [[] for _ in nodes]
             for a, (_aid, tail, head, cap, _length) in enumerate(self._arc_meta):
                 ti, hi = node_idx[tail], node_idx[head]
                 self._arc_cap[a] = cap
+                self._arc_ends.append((ti, hi))
+                self._out_arcs[ti].append((a, hi))
                 if ti <= hi:
                     self._arc_row_lo[a], self._arc_val_lo[a] = ti, 1.0
                     self._arc_row_hi[a], self._arc_val_hi[a] = hi, -1.0
                 else:
                     self._arc_row_lo[a], self._arc_val_lo[a] = hi, -1.0
                     self._arc_row_hi[a], self._arc_val_hi[a] = ti, 1.0
+            self._arc_tail = np.asarray([t for t, _ in self._arc_ends], dtype=np.int64)
+            self._arc_head = np.asarray([h for _, h in self._arc_ends], dtype=np.int64)
+            #: The load a certified routing may put on each arc.
+            self._arc_limit = self._arc_cap * (1.0 - _CUT_MARGIN)
 
             # Net supply b(s, v) and the λ column of A_eq (rows already
             # ascending because s-major, node-minor iteration is sorted).
@@ -251,6 +322,12 @@ class McfModel:
                         lam_vals.append(-b[s, v])
             self._lam_rows = np.asarray(lam_rows, dtype=np.int32)
             self._lam_vals = np.asarray(lam_vals)
+
+            # Demand pairs for the dual certificates' distance sums.
+            self._src_nodes = np.asarray([node_idx[s] for s in self._sources], dtype=np.int64)
+            self._dem_src = np.asarray([src_idx[s] for (s, _), _ in demands], dtype=np.int64)
+            self._dem_dst = np.asarray([node_idx[t] for (_, t), _ in demands], dtype=np.int64)
+            self._dem_val = np.asarray([value for _, value in demands])
 
             # Per-link endpoint/capacity arrays for the cut short circuit,
             # and per-node egress/ingress demand totals.
@@ -276,14 +353,12 @@ class McfModel:
         Bit-identical to
         ``max_concurrent_flow(network.restricted_to_links(link_ids), tm)``.
         """
-        key = self._subset(link_ids)
-        memo_key = (key, keep_flows)
+        subset = self._subset(link_ids)
+        memo_key = subset.mask << 2 | (_FLOWS if keep_flows else _PLAIN)
         result = self._recall(memo_key)
         if result is None:
-            result = self._solve_uncached(key, keep_flows)
-            self._memo[memo_key] = result
-            if len(self._memo) > MEMO_SIZE:
-                self._memo.popitem(last=False)
+            result = self._solve_uncached(subset, keep_flows)
+            self._remember(memo_key, result)
         return result
 
     def verdict(self, link_ids: Optional[Iterable[str]] = None) -> MCFResult:
@@ -293,23 +368,46 @@ class McfModel:
         or ingress demand exceeds the cut capacity of its incident kept
         links (with margin, so it can never contradict the LP).  Its
         answer is :data:`CUT_INFEASIBLE`, whose λ is 0 rather than the
-        exact (sub-1) λ, and it is not memoized.
+        exact (sub-1) λ, and it is not memoized.  Certificates never
+        answer here: every answer is an LP result or the cut answer.
         """
-        key = self._subset(link_ids)
-        result = self._recall((key, False))
+        subset = self._subset(link_ids)
+        result = self._recall(subset.mask << 2 | _PLAIN)
         if result is not None:
             return result
-        if self.cut_infeasible(key):
-            self.cut_shortcircuits += 1
-            metrics().inc("mcf.cut_shortcircuits")
+        if self._cut_infeasible(subset.links):
+            self._count_cut()
             return CUT_INFEASIBLE
         # Via solve() (whose memo lookup misses again), so every LP solve
         # runs inside the method the benchmark times as netflow.lp_solve.
-        return self.solve(key)
+        return self.solve(subset)
 
     def feasible(self, link_ids: Optional[Iterable[str]] = None) -> bool:
-        """``verdict(link_ids).feasible``."""
-        return self.verdict(link_ids).feasible
+        """Can the subset carry the TM?  Memo, cut test, certificates, LP.
+
+        The yes/no answer of :meth:`verdict`, which it may also prove
+        from an earlier solve's certificate (see :meth:`_certify`) instead
+        of solving.  A certified answer is memoized as a bare verdict
+        that ``solve()`` and ``verdict()`` never read.
+        """
+        subset = self._subset(link_ids)
+        key = subset.mask << 2
+        known = self._recall(key | _PLAIN)
+        if known is not None:
+            return known.feasible
+        certified = self._recall(key | _CERTIFIED)
+        if certified is not None:
+            return certified
+        if self._cut_infeasible(subset.links):
+            self._count_cut()
+            return False
+        certified = self._certify(subset)
+        if certified is not None:
+            self.certified += 1
+            metrics().inc("mcf.certified")
+            self._remember(key | _CERTIFIED, certified)
+            return certified
+        return self.solve(subset).feasible
 
     def cut_infeasible(self, link_ids: Iterable[str]) -> bool:
         """True when a node's demand provably exceeds its incident cut.
@@ -317,32 +415,32 @@ class McfModel:
         Sound one-way test: a ``True`` answer guarantees the LP would
         report infeasible; ``False`` says nothing.
         """
-        if self._empty_tm:
-            return False
-        positions = self._positions(link_ids)
-        node_cap = np.zeros(self._n_nodes)
-        np.add.at(node_cap, self._link_u_idx[positions], self._link_cap[positions])
-        np.add.at(node_cap, self._link_v_idx[positions], self._link_cap[positions])
-        margin = 1.0 - _CUT_MARGIN
-        return bool(
-            np.any(node_cap < self._egress * margin - 1e-9)
-            or np.any(node_cap < self._ingress * margin - 1e-9)
-        )
+        return self._cut_infeasible(self._subset(link_ids).links)
 
     def clear_memo(self) -> None:
+        """Forget every memoized answer and every certificate."""
         self._memo.clear()
+        self._routings.clear()
+        self._duals.clear()
 
     # -- internals -----------------------------------------------------------
 
-    def _subset(self, link_ids: Optional[Iterable[str]]) -> FrozenSet[str]:
-        key = self._link_set if link_ids is None else frozenset(link_ids)
-        missing = key - self._link_set
-        if missing:
-            raise UnknownLinkError(sorted(missing)[0])
-        return key
+    def _subset(self, link_ids: Optional[Iterable[str]]) -> _Subset:
+        """Resolve link ids (an already resolved subset passes through)."""
+        if link_ids is None:
+            return self._all
+        if isinstance(link_ids, _Subset):
+            return link_ids
+        if not isinstance(link_ids, (frozenset, set, list, tuple)):
+            link_ids = list(link_ids)
+        try:
+            mask = reduce(or_, map(self._link_bit.__getitem__, link_ids), 0)
+        except KeyError:
+            raise UnknownLinkError(min(set(link_ids) - self._link_set)) from None
+        return _Subset(mask, len(self._link_ids))
 
-    def _recall(self, memo_key: Tuple[FrozenSet[str], bool]) -> Optional[MCFResult]:
-        """The memoized result, if any, marked as the most recently used."""
+    def _recall(self, memo_key: int) -> Union[MCFResult, bool, None]:
+        """The memoized entry, if any, marked as the most recently used."""
         cached = self._memo.get(memo_key)
         if cached is not None:
             self.memo_hits += 1
@@ -350,22 +448,174 @@ class McfModel:
             metrics().inc("mcf.memo_hits")
         return cached
 
-    def _positions(self, link_ids: Iterable[str]) -> np.ndarray:
-        pos = self._link_pos
-        try:
-            return np.asarray(sorted(pos[lid] for lid in link_ids), dtype=np.int64)
-        except KeyError as err:
-            raise UnknownLinkError(err.args[0]) from None
+    def _remember(self, memo_key: int, entry: Union[MCFResult, bool]) -> None:
+        self._memo[memo_key] = entry
+        if len(self._memo) > MEMO_SIZE:
+            self._memo.popitem(last=False)
 
-    def _solve_uncached(self, key: FrozenSet[str], keep_flows: bool) -> MCFResult:
+    def _count_cut(self) -> None:
+        self.cut_shortcircuits += 1
+        metrics().inc("mcf.cut_shortcircuits")
+
+    def _cut_infeasible(self, links: np.ndarray) -> bool:
+        if self._empty_tm:
+            return False
+        node_cap = np.zeros(self._n_nodes)
+        np.add.at(node_cap, self._link_u_idx[links], self._link_cap[links])
+        np.add.at(node_cap, self._link_v_idx[links], self._link_cap[links])
+        margin = 1.0 - _CUT_MARGIN
+        return bool(
+            np.any(node_cap < self._egress * margin - 1e-9)
+            or np.any(node_cap < self._ingress * margin - 1e-9)
+        )
+
+    # -- certificates ----------------------------------------------------------
+
+    def _certify(self, subset: _Subset) -> Optional[bool]:
+        """The verdict an earlier solve's certificate proves, or None.
+
+        Two kinds, both sound one-way tests with the cut test's margin:
+
+        - a *routing* of the TM over a stored subset S, each arc within
+          (1 - margin) of its capacity, proves T feasible when every arc
+          in S but not in T can hand its load to a path of T's arcs that
+          has that much room left (flow moved along a path keeps every
+          commodity conserved); the repaired routing is stored for T;
+        - *dual lengths* ℓ >= 0 on the arcs (an infeasible solve's
+          capacity-row duals) prove T infeasible when
+          Σ_{a∈T} cap_a·ℓ_a < (1 - margin)·Σ_{s,t} d_st·dist_{ℓ,T}(s, t):
+          by weak duality that ratio bounds λ* of T from above, for any
+          ℓ >= 0.  A demand pair T disconnects makes the sum infinite.
+        """
+        mask, arcs = subset.mask, np.repeat(subset.links, 2)
+        margin = 1.0 - _CUT_MARGIN
+        # Nearest first: fewest links to reroute, fewest links outside S.
+        routings = sorted(
+            ((stored & ~mask).bit_count(), i) for i, (stored, _) in enumerate(self._routings)
+        )
+        duals = sorted(
+            ((mask & ~stored).bit_count(), i) for i, (stored, _, _) in enumerate(self._duals)
+        )
+        if routings and routings[0][0] == 0:
+            return True  # T contains S: S's routing carries the TM as it is
+        for extra, i in duals:
+            # T within S: every distance only grows, so S's sum still bounds.
+            if extra == 0 and self._dual_weight(i, arcs) < margin * self._duals[i][2]:
+                return self._used_dual(i)
+        for _dropped, i in routings:
+            stored, loads = self._routings[i]
+            loads = self._reroute(stored & ~mask, loads, arcs)
+            if loads is not None:
+                _remember_certificate(self._routings, (mask, loads))
+                return True
+        for _extra, i in duals:
+            lengths = self._duals[i][1]
+            if self._dual_weight(i, arcs) < margin * self._demand_distance(arcs, lengths):
+                return self._used_dual(i)
+        return None
+
+    def _dual_weight(self, i: int, arcs: np.ndarray) -> float:
+        """Σ_{a∈T} cap_a·ℓ_a for stored dual ``i``."""
+        return float(np.dot(self._arc_cap[arcs], self._duals[i][1][arcs]))
+
+    def _used_dual(self, i: int) -> bool:
+        """Move dual ``i`` to the front of its store; its verdict: infeasible."""
+        self._duals.insert(0, self._duals.pop(i))
+        return False
+
+    def _reroute(self, dropped: int, loads: np.ndarray, arcs: np.ndarray) -> Optional[np.ndarray]:
+        """``loads`` with every dropped link's arc load moved onto kept arcs, or None."""
+        loads = loads.copy()
+        room = np.where(arcs, self._arc_limit - loads, -1.0).tolist()
+        for link in _bit_positions(dropped):
+            for arc in (2 * link, 2 * link + 1):
+                load = float(loads[arc])
+                if load <= 0.0:
+                    continue
+                path = self._path_with_room(*self._arc_ends[arc], load, room)
+                if path is None:
+                    return None
+                for a in path:
+                    room[a] -= load
+                loads[path] += load
+                loads[arc] = 0.0
+        return loads
+
+    def _path_with_room(
+        self, src: int, dst: int, load: float, room: List[float]
+    ) -> Optional[List[int]]:
+        """Fewest-hop src→dst arcs each with ``room`` for ``load`` (breadth-first)."""
+        via = {src: -1}
+        frontier = [src]
+        while frontier:
+            reached = []
+            for node in frontier:
+                for arc, head in self._out_arcs[node]:
+                    if head in via or room[arc] < load:
+                        continue
+                    via[head] = arc
+                    if head == dst:
+                        path = []
+                        while arc >= 0:
+                            path.append(arc)
+                            arc = via[self._arc_ends[arc][0]]
+                        return path
+                    reached.append(head)
+            frontier = reached
+        return None
+
+    def _demand_distance(self, arcs: np.ndarray, lengths: np.ndarray) -> float:
+        """Σ_{s,t} d_st·dist(s, t) over the ``arcs`` kept, arc a ``lengths[a]`` long.
+
+        Infinite when a demand pair is disconnected.  The graph is handed
+        to scipy as CSR with one entry per (tail, head): the shortest of
+        parallel arcs (a CSR matrix would *sum* duplicate entries), and
+        zero-length arcs as explicit zeros, which sparse input keeps as
+        edges (a dense matrix would read 0 as "no edge").
+        """
+        n = self._n_nodes
+        pair = self._arc_tail[arcs] * n + self._arc_head[arcs]
+        length = lengths[arcs]
+        order = np.lexsort((length, pair))
+        pair, length = pair[order], length[order]
+        first = np.ones(pair.size, dtype=bool)
+        first[1:] = pair[1:] != pair[:-1]
+        pair, length = pair[first], length[first]
+        indptr = np.searchsorted(pair // n, np.arange(n + 1))
+        graph = csr_matrix((length, pair % n, indptr), shape=(n, n))
+        dist = dijkstra(graph, directed=True, indices=self._src_nodes)
+        return float(np.dot(self._dem_val, dist[self._dem_src, self._dem_dst]))
+
+    def _learn(self, subset: _Subset, arc_positions: np.ndarray, x, row_dual, feasible: bool) -> None:
+        """Keep a certificate from one LP solve (see :meth:`_certify`)."""
+        if x is None:
+            return
+        n_arcs = arc_positions.size
+        lam = float(x[-1])
+        if lam >= 1.0 + 2.0 * _CUT_MARGIN:
+            loads = np.zeros(self._arc_cap.size)
+            loads[arc_positions] = x[:-1].reshape(n_arcs, self._n_src).sum(axis=1) / lam
+            if np.all(loads <= self._arc_limit):
+                _remember_certificate(self._routings, (subset.mask, loads))
+        elif not feasible and row_dual is not None:
+            lengths = np.zeros(self._arc_cap.size)
+            lengths[arc_positions] = np.maximum(-row_dual[:n_arcs], 0.0)
+            arcs = np.repeat(subset.links, 2)
+            distance = self._demand_distance(arcs, lengths)
+            if np.dot(self._arc_cap[arcs], lengths[arcs]) < (1.0 - _CUT_MARGIN) * distance:
+                _remember_certificate(self._duals, (subset.mask, lengths, distance))
+
+    # -- LP --------------------------------------------------------------------
+
+    def _solve_uncached(self, subset: _Subset, keep_flows: bool) -> MCFResult:
         self.solves += 1
         if self._empty_tm:
             return MCFResult(lam=LAMBDA_CAP, feasible=True, status=0, message="empty TM")
-        if not key:
+        if not subset.mask:
             return MCFResult(lam=0.0, feasible=False, status=2, message="no links")
-        return self._solve_fast(key, keep_flows)
+        return self._solve_fast(subset, keep_flows)
 
-    def _solve_fast(self, key: FrozenSet[str], keep_flows: bool) -> MCFResult:
+    def _solve_fast(self, subset: _Subset, keep_flows: bool) -> MCFResult:
         """Assemble the subset LP from the templates and call HiGHS directly.
 
         The assembled CSC arrays are exactly what scipy's LP pipeline
@@ -375,7 +625,7 @@ class McfModel:
         values.  HiGHS is deterministic, so the solution bytes match the
         reference assembly's solve of that subnet.
         """
-        link_positions = self._positions(key)
+        link_positions = np.flatnonzero(subset.links)
         n_src = self._n_src
         n_nodes = self._n_nodes
         with span(
@@ -440,7 +690,9 @@ class McfModel:
         )
 
         arcs = [self._arc_meta[a] for a in arc_positions]
-        return _finish_result(x, status, message, arcs, self._sources, keep_flows)
+        result = _finish_result(x, status, message, arcs, self._sources, keep_flows)
+        self._learn(subset, arc_positions, x, res.get("row_dual"), result.feasible)
+        return result
 
 
 def _finish_result(

@@ -368,3 +368,43 @@ class TestContinentalSmoke:
             net = _region_network(zoo.offered, partition, sub.label)
             constraint = make_constraint(1, net, intra[sub.label])
             assert constraint.satisfied(sub.selected)
+
+
+class TestWorkloadMemoBound:
+    def test_offer_seed_stream_stays_bounded_and_exact(self, monkeypatch):
+        """A new offer seed per clear reuses the zoo and never grows memory.
+
+        Each clear must equal the one a process with emptied memos makes.
+        """
+        from collections import OrderedDict
+
+        import repro.auction.sharded as sharded
+
+        monkeypatch.setattr(sharded, "_WORKLOAD_MEMO", OrderedDict())
+        monkeypatch.setattr(sharded, "_OFFERS_MEMO", OrderedDict())
+        offer_seeds = range(sharded.OFFERS_MEMO_SIZE + 4)
+        memoized = {}
+        for offer_seed in offer_seeds:
+            memoized[offer_seed] = clear_sharded_spec(
+                "smoke", seed=3, offer_seed=offer_seed
+            ).canonical_json()
+            assert len(sharded._WORKLOAD_MEMO) == 1  # one zoo for every seed
+            assert len(sharded._OFFERS_MEMO) <= sharded.OFFERS_MEMO_SIZE
+        assert len(sharded._OFFERS_MEMO) == sharded.OFFERS_MEMO_SIZE
+        for offer_seed in offer_seeds:
+            sharded._WORKLOAD_MEMO.clear()
+            sharded._OFFERS_MEMO.clear()
+            fresh = clear_sharded_spec("smoke", seed=3, offer_seed=offer_seed)
+            assert fresh.canonical_json() == memoized[offer_seed]
+
+    def test_workload_memo_is_bounded(self, monkeypatch):
+        from collections import OrderedDict
+
+        import repro.auction.sharded as sharded
+
+        monkeypatch.setattr(sharded, "_WORKLOAD_MEMO", OrderedDict())
+        monkeypatch.setattr(sharded, "_OFFERS_MEMO", OrderedDict())
+        monkeypatch.setattr(sharded, "WORKLOAD_MEMO_SIZE", 2)
+        for load in (0.02, 0.021, 0.022):
+            continental_workload("smoke", seed=3, load_fraction=load)
+        assert [key[2] for key in sharded._WORKLOAD_MEMO] == [0.021, 0.022]

@@ -32,8 +32,10 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
-def _micro_spec(repeats=2):
-    return SweepSpec(axes=(Axis("preset", ("micro",)),), repeats=repeats)
+def _micro_spec(repeats=2, constraints="1"):
+    return SweepSpec(
+        axes=(Axis("preset", ("micro",)),), base={"constraints": constraints}, repeats=repeats
+    )
 
 
 def _trial_counters(path):
@@ -67,32 +69,37 @@ def _run_cli(args, cwd):
 
 class TestWorkerIndependence:
     @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
-    def test_serial_and_pool_counters_identical(self, tmp_path):
+    # "1" asks only yes/no questions (feasible()); under "1,2,3" the
+    # survivability constraints also read full results (check()).
+    @pytest.mark.parametrize("constraints", ["1", "1,2,3"])
+    def test_serial_and_pool_counters_identical(self, tmp_path, constraints):
         serial_m = tmp_path / "serial.jsonl"
         pool_m = tmp_path / "pool.jsonl"
+        spec = _micro_spec(constraints=constraints)
 
         obs.configure(metrics_path=str(serial_m), propagate=False)
-        serial = run_sweep("figure2", _micro_spec())
+        serial = run_sweep("figure2", spec)
         obs.configure(metrics_path=str(pool_m), propagate=False)
-        pooled = run_sweep("figure2", _micro_spec(), workers=2,
-                           start_method="fork")
+        pooled = run_sweep("figure2", spec, workers=2, start_method="fork")
 
         assert serial.report_json() == pooled.report_json()
         a, b = _trial_counters(serial_m), _trial_counters(pool_m)
         assert set(a) == set(b) and len(a) == 2
 
         # Cache-locality counters record *where* an oracle answer came
-        # from; the warm model caches are per process, so serial and
-        # pool layouts may split the same queries differently.
+        # from; the warm model caches (memo and certificates) are per
+        # process, so serial and pool layouts may split the same queries
+        # differently.
         locality = {
             "mcf.solves", "mcf.memo_hits", "mcf.cut_shortcircuits",
-            "mcf.model_cache_hits", "mcf.model_cache_misses",
+            "mcf.certified", "mcf.model_cache_hits", "mcf.model_cache_misses",
         }
 
         def answers(counters):
             """Total oracle answers, however they were served."""
             return sum(counters.get(name, 0) for name in (
                 "mcf.solves", "mcf.memo_hits", "mcf.cut_shortcircuits",
+                "mcf.certified",
             ))
 
         for key in a:
