@@ -10,17 +10,21 @@ under the required failure tolerance:
 
 Constraints wrap a feasibility oracle and add scenario logic; all oracle
 calls share one cache per (network, tm, engine), which matters because the
-selection loop probes thousands of overlapping subsets.
+selection loop probes thousands of overlapping subsets.  The exact
+(``mcf``) oracle also remembers each Constraint #2/#3 verdict in its warm
+model's memo, so later constraints over the same workload content reuse
+it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import FrozenSet, Iterable
 
 from repro.exceptions import FlowError
 from repro.netflow.failures import primary_path_failures, single_link_failures
 from repro.netflow.feasibility import BaseOracle, make_oracle
+from repro.netflow.model import PRIMARY_PATH_SURVIVABLE, SINGLE_LINK_SURVIVABLE
+from repro.obs import metrics
 from repro.topology.graph import Network
 from repro.traffic.matrix import TrafficMatrix
 
@@ -55,26 +59,37 @@ class TrafficConstraint(Constraint):
         return self.oracle.feasible(frozenset(link_ids))
 
 
-class SingleLinkSurvivability(Constraint):
-    """Constraint #2: feasible under every single-link failure.
+class Survivability(Constraint):
+    """Feasible under every failure scenario the subclass names.
 
-    The no-failure case is implied: removing any one link must still leave
-    a feasible network, and feasibility is monotone in the link set, so
-    the full set is feasible whenever all failure cases are.  We still
-    check the base case first because it is the cheapest rejection.
+    The no-failure case is implied: removing any scenario's links must
+    still leave a feasible network, and feasibility is monotone in the
+    link set, so the full set is feasible whenever all failure cases are.
+    We still check the base case first because it is the cheapest
+    rejection.  A verdict depends only on the workload's content, so the
+    oracle may remember it for every constraint over the same workload.
     """
 
-    name = "constraint-2"
+    #: The oracle's memo kind for this constraint's verdicts.
+    kind: int
 
     def satisfied(self, link_ids: Iterable[str]) -> bool:
         links = frozenset(link_ids)
+        metrics().inc("auction.survivability_checks")
+        return self.oracle.survivable(self.kind, links, lambda: self._survives(links))
+
+    def scenarios(self, links: FrozenSet[str]) -> Iterable[FrozenSet[str]]:
+        """The link sets that fail, one scenario at a time."""
+        raise NotImplementedError
+
+    def _survives(self, links: FrozenSet[str]) -> bool:
         base = self.oracle.check(links)
         if not base.feasible:
             return False
         # A link carrying zero flow in the base routing can fail for free:
         # the very same routing certifies feasibility of the reduced set.
         loads = base.link_loads or {}
-        for scenario in single_link_failures(links):
+        for scenario in self.scenarios(links):
             if all(loads.get(lid, 0.0) <= 1e-9 for lid in scenario):
                 continue
             if not self.oracle.feasible(links - scenario):
@@ -82,7 +97,17 @@ class SingleLinkSurvivability(Constraint):
         return True
 
 
-class PrimaryPathSurvivability(Constraint):
+class SingleLinkSurvivability(Survivability):
+    """Constraint #2: feasible under every single-link failure."""
+
+    name = "constraint-2"
+    kind = SINGLE_LINK_SURVIVABLE
+
+    def scenarios(self, links: FrozenSet[str]) -> Iterable[FrozenSet[str]]:
+        return single_link_failures(links)
+
+
+class PrimaryPathSurvivability(Survivability):
     """Constraint #3: feasible when each pair's primary path fails.
 
     For every router pair with traffic, compute the pair's primary
@@ -92,20 +117,10 @@ class PrimaryPathSurvivability(Constraint):
     """
 
     name = "constraint-3"
+    kind = PRIMARY_PATH_SURVIVABLE
 
-    def satisfied(self, link_ids: Iterable[str]) -> bool:
-        links = frozenset(link_ids)
-        base = self.oracle.check(links)
-        if not base.feasible:
-            return False
-        loads = base.link_loads or {}
-        for _pair, scenario in primary_path_failures(self.network, links):
-            # If no removed link carried flow, the base routing survives.
-            if all(loads.get(lid, 0.0) <= 1e-9 for lid in scenario):
-                continue
-            if not self.oracle.feasible(links - scenario):
-                return False
-        return True
+    def scenarios(self, links: FrozenSet[str]) -> Iterable[FrozenSet[str]]:
+        return (scenario for _pair, scenario in primary_path_failures(self.network, links))
 
 
 _CONSTRAINTS = {

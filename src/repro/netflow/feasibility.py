@@ -94,6 +94,15 @@ class BaseOracle:
             self.cache_hits += 1
         return cached if isinstance(cached, bool) else cached.feasible
 
+    def survivable(self, kind: int, links: FrozenSet[str], decide: Callable[[], bool]) -> bool:
+        """``decide()``: a survivability constraint's verdict for ``links``.
+
+        ``kind`` names the constraint (a memo kind of
+        :mod:`repro.netflow.model`).  How widely a verdict may be shared
+        is the engine's call; this oracle remembers none.
+        """
+        return decide()
+
     def _evaluate(self, key: FrozenSet[str]) -> FeasibilityResult:
         """The uncached result for one subset."""
         raise NotImplementedError
@@ -134,7 +143,9 @@ class MCFOracle(BaseOracle):
     exact (sub-1) λ, which no consumer of infeasible verdicts reads.
     Yes/no questions (:meth:`feasible`) go to
     :meth:`~repro.netflow.model.McfModel.feasible`, which may also answer
-    from an earlier solve's certificate.
+    from an earlier solve's certificate.  Survivability verdicts are kept
+    in the model's memo, so every constraint over the same workload
+    content shares them (:meth:`~repro.netflow.model.McfModel.survivable`).
     """
 
     name = "mcf"
@@ -148,6 +159,9 @@ class MCFOracle(BaseOracle):
 
     def _feasible(self, key: FrozenSet[str]) -> bool:
         return self._model.feasible(key)
+
+    def survivable(self, kind: int, links: FrozenSet[str], decide: Callable[[], bool]) -> bool:
+        return self._model.survivable(kind, links, decide)
 
 
 class PathOracle(BaseOracle):

@@ -34,6 +34,9 @@ solve leaves a certificate — a feasible subset's routing, an infeasible
 one's capacity duals — that settles many nearby subsets with a margin
 the LP can never contradict.  ``solve()`` and ``verdict()`` never answer
 from a certificate, so every result they return is an LP result.
+The survivability constraints keep their verdicts in the same memo
+(:meth:`McfModel.survivable`): a verdict depends only on the model's
+content key, so every constraint over the same workload shares it.
 
 :class:`ModelCache` keys models by *content* (node order, sorted link
 attributes, TM entries) rather than object identity, so freshly rebuilt
@@ -47,7 +50,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from functools import reduce
 from operator import or_
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 import scipy.optimize._highspy._core as _h  # type: ignore
@@ -182,10 +185,11 @@ CUT_INFEASIBLE = MCFResult(
 #: duals), most recent first.
 CERTIFICATES = 16
 
-#: What an int memo key's two low bits say its entry holds: the
-#: ``solve()`` result without or with routing detail, or a certified
-#: yes/no verdict (a bool) that only ``feasible()`` reads.
-_PLAIN, _FLOWS, _CERTIFIED = 0, 1, 2
+#: What an int memo key's three low bits say its entry holds: the
+#: ``solve()`` result without or with routing detail, a certified yes/no
+#: verdict (a bool) that only ``feasible()`` reads, or a survivability
+#: verdict (a bool, Constraint #2 or #3) that only ``survivable()`` reads.
+_PLAIN, _FLOWS, _CERTIFIED, SINGLE_LINK_SURVIVABLE, PRIMARY_PATH_SURVIVABLE = range(5)
 
 
 class _Subset:
@@ -246,6 +250,7 @@ class McfModel:
         self.solves = 0
         self.cut_shortcircuits = 0
         self.certified = 0
+        self.survival_hits = 0
         #: (subset mask, per-arc load of a TM routing within the arc limits)
         self._routings: List[Tuple[int, np.ndarray]] = []
         #: (subset mask, per-arc dual lengths ℓ, Σ d·dist_ℓ over the subset)
@@ -354,7 +359,7 @@ class McfModel:
         ``max_concurrent_flow(network.restricted_to_links(link_ids), tm)``.
         """
         subset = self._subset(link_ids)
-        memo_key = subset.mask << 2 | (_FLOWS if keep_flows else _PLAIN)
+        memo_key = subset.mask << 3 | (_FLOWS if keep_flows else _PLAIN)
         result = self._recall(memo_key)
         if result is None:
             result = self._solve_uncached(subset, keep_flows)
@@ -372,7 +377,7 @@ class McfModel:
         answer here: every answer is an LP result or the cut answer.
         """
         subset = self._subset(link_ids)
-        result = self._recall(subset.mask << 2 | _PLAIN)
+        result = self._recall(subset.mask << 3 | _PLAIN)
         if result is not None:
             return result
         if self._cut_infeasible(subset.links):
@@ -391,7 +396,7 @@ class McfModel:
         that ``solve()`` and ``verdict()`` never read.
         """
         subset = self._subset(link_ids)
-        key = subset.mask << 2
+        key = subset.mask << 3
         known = self._recall(key | _PLAIN)
         if known is not None:
             return known.feasible
@@ -409,6 +414,28 @@ class McfModel:
             return certified
         return self.solve(subset).feasible
 
+    def survivable(self, kind: int, link_ids: Iterable[str], decide: Callable[[], bool]) -> bool:
+        """The subset's survivability verdict of ``kind``, decided once per model.
+
+        ``kind`` is :data:`SINGLE_LINK_SURVIVABLE` or
+        :data:`PRIMARY_PATH_SURVIVABLE`; ``decide()`` runs only when the
+        memo does not hold that verdict yet, and its answer shares the LRU
+        with every other entry.  A remembered verdict counts a
+        ``survival_hit``, never a memo hit or a solve.
+        """
+        if kind not in (SINGLE_LINK_SURVIVABLE, PRIMARY_PATH_SURVIVABLE):
+            raise FlowError(f"unknown survivability kind {kind}")
+        key = self._subset(link_ids).mask << 3 | kind
+        verdict = self._memo.get(key)
+        if verdict is None:
+            verdict = decide()
+            self._remember(key, verdict)
+        else:
+            self.survival_hits += 1
+            self._memo.move_to_end(key)
+            metrics().inc("mcf.survival_hits")
+        return verdict
+
     def cut_infeasible(self, link_ids: Iterable[str]) -> bool:
         """True when a node's demand provably exceeds its incident cut.
 
@@ -418,7 +445,8 @@ class McfModel:
         return self._cut_infeasible(self._subset(link_ids).links)
 
     def clear_memo(self) -> None:
-        """Forget every memoized answer and every certificate."""
+        """Forget every memoized answer, survivability verdicts included,
+        and every certificate."""
         self._memo.clear()
         self._routings.clear()
         self._duals.clear()

@@ -1,5 +1,7 @@
 """Tests for Constraints #1/#2/#3."""
 
+import dataclasses
+
 import pytest
 
 from repro.exceptions import FlowError
@@ -9,6 +11,9 @@ from repro.auction.constraints import (
     TrafficConstraint,
     make_constraint,
 )
+from repro.netflow.failures import primary_path_failures
+from repro.netflow.model import get_model, model_cache
+from repro.resilience.chaos import micro_scenario
 from repro.traffic.matrix import TrafficMatrix
 
 from tests.conftest import square_network
@@ -100,6 +105,9 @@ class TestConstraint3:
 
 class TestOracleSharing:
     def test_evaluations_counted(self, net, light_tm):
+        # An earlier test may already have decided this workload's
+        # Constraint #2 verdict in the shared model memo.
+        model_cache().clear()
         c = make_constraint(2, net, light_tm)
         before = c.oracle_evaluations
         c.satisfied(net.link_ids)
@@ -124,3 +132,78 @@ class TestOracleSharing:
             # never the reverse.
             if verdicts["greedy"]:
                 assert verdicts["mcf"]
+
+
+def _with_length(net, link_id, length_km):
+    """``net`` with one link's length changed (in place)."""
+    link = net.remove_link(link_id)
+    net.add_link(dataclasses.replace(link, length_km=length_km))
+    return net
+
+
+class TestSharedVerdicts:
+    """Constraint #2/#3 verdicts live in the warm model's memo."""
+
+    def test_identical_workload_reuses_verdict(self):
+        model_cache().clear()
+        first_net, _offers, first_tm = micro_scenario(0)
+        first = make_constraint(3, first_net, first_tm)
+        verdict = first.satisfied(first_net.link_ids)
+        assert first.oracle_evaluations > 0
+        # Built separately, content-identical: the verdict is shared.
+        net, _offers, tm = micro_scenario(0)
+        assert net is not first_net
+        second = make_constraint(3, net, tm)
+        assert second.satisfied(net.link_ids) == verdict
+        assert second.oracle_evaluations == 0
+
+    def test_moved_primary_path_gets_own_memo(self):
+        model_cache().clear()
+        net, _offers, tm = micro_scenario(0)
+        moved = _with_length(micro_scenario(0)[0], "BC", 2000.0)
+        assert list(primary_path_failures(moved, moved.link_ids)) != list(
+            primary_path_failures(net, net.link_ids)
+        )
+        assert get_model(moved, tm) is not get_model(net, tm)
+        full = frozenset(net.link_ids)
+        subsets = [full, full - {"BC"}, full - {"CD", "CG", "ext:VL001"}]
+        original = [make_constraint(3, net, tm).satisfied(s) for s in subsets]
+        warm = [make_constraint(3, moved, tm).satisfied(s) for s in subsets]
+        model_cache().clear()
+        cold = [make_constraint(3, moved, tm).satisfied(s) for s in subsets]
+        assert warm == cold
+        # The move changes a verdict, so sharing across it would show.
+        assert warm != original
+
+    def test_hits_counted_apart_and_cleared(self):
+        model_cache().clear()
+        net, _offers, tm = micro_scenario(0)
+        verdict = make_constraint(2, net, tm).satisfied(net.link_ids)
+        model = get_model(net, tm)
+        before = (model.memo_hits, model.solves, model.certified, model.cut_shortcircuits)
+        again = make_constraint(2, net, tm)
+        assert again.satisfied(net.link_ids) == verdict
+        assert model.survival_hits == 1
+        assert (model.memo_hits, model.solves, model.certified,
+                model.cut_shortcircuits) == before
+        model.clear_memo()
+        fresh = make_constraint(2, net, tm)
+        assert fresh.satisfied(net.link_ids) == verdict
+        assert fresh.oracle_evaluations > 0
+        assert model.survival_hits == 1
+
+    def test_constraints_keep_separate_verdicts(self, net, light_tm):
+        model_cache().clear()
+        make_constraint(2, net, light_tm).satisfied(net.link_ids)
+        c3 = make_constraint(3, net, light_tm)
+        c3.satisfied(net.link_ids)
+        assert c3.oracle_evaluations > 0
+        assert get_model(net, light_tm).survival_hits == 0
+
+    @pytest.mark.parametrize("engine", ["greedy", "sp", "path"])
+    def test_other_engines_remember_nothing(self, net, light_tm, engine):
+        for number in (2, 3):
+            make_constraint(number, net, light_tm, engine=engine).satisfied(net.link_ids)
+            again = make_constraint(number, net, light_tm, engine=engine)
+            again.satisfied(net.link_ids)
+            assert again.oracle_evaluations > 0

@@ -10,7 +10,7 @@ from the ``linprog`` reference in ``tests/netflow/reference_mcf.py``.
 import pytest
 
 import repro.netflow.model as model_module
-from repro.exceptions import UnknownLinkError
+from repro.exceptions import FlowError, UnknownLinkError
 from repro.netflow.mcf import LAMBDA_CAP, mcf_feasible
 from repro.netflow.model import McfModel, ModelCache, get_model, model_cache
 from repro.topology.graph import Link, Network, Node
@@ -146,6 +146,65 @@ class TestMemoIsolation:
         solves_before = model.solves
         model.solve()
         assert model.solves == solves_before + 1
+
+
+class TestSurvivabilityVerdicts:
+    """Constraint #2/#3 verdicts kept in the model memo (``survivable``)."""
+
+    KINDS = (model_module.SINGLE_LINK_SURVIVABLE, model_module.PRIMARY_PATH_SURVIVABLE)
+
+    def test_decided_once_per_kind_and_subset(self):
+        model = McfModel(diamond_network(), diamond_tm())
+        ring = frozenset({"AB", "BC", "CD", "DA"})
+        decided = []
+
+        def decide(verdict):
+            def run():
+                decided.append(verdict)
+                return verdict
+            return run
+
+        single, primary = self.KINDS
+        assert model.survivable(single, ring, decide(False)) is False
+        assert model.survivable(single, ring, decide(True)) is False  # remembered
+        assert model.survivable(primary, ring, decide(True)) is True  # own kind
+        assert model.survivable(single, {"AB"}, decide(True)) is True  # own subset
+        assert decided == [False, True, True]
+        assert model.survival_hits == 1
+        assert (model.memo_hits, model.solves) == (0, 0)
+
+    def test_never_read_as_a_solve_or_certified_answer(self):
+        model = McfModel(diamond_network(), diamond_tm())
+        ring = frozenset({"AB", "BC", "CD", "DA"})
+        for kind in self.KINDS:
+            model.survivable(kind, ring, lambda: False)
+        assert model.feasible(ring)
+        assert model.solve(ring).feasible
+        assert model.survival_hits == 0
+
+    def test_unknown_kind_rejected(self):
+        model = McfModel(diamond_network(), diamond_tm())
+        with pytest.raises(FlowError):
+            model.survivable(0, {"AB"}, lambda: True)  # would clobber a solve
+
+    def test_shares_the_memo_bound(self, monkeypatch):
+        monkeypatch.setattr(model_module, "MEMO_SIZE", 2)
+        model = McfModel(diamond_network(), diamond_tm())
+        single, _primary = self.KINDS
+        model.survivable(single, {"AB"}, lambda: True)
+        model.solve({"AB", "BC"})
+        model.solve({"AB", "BC", "CD"})  # evicts the verdict
+        assert len(model._memo) == 2
+        assert model.survivable(single, {"AB"}, lambda: False) is False
+        assert model.survival_hits == 0
+
+    def test_clear_memo_drops_verdicts(self):
+        model = McfModel(diamond_network(), diamond_tm())
+        single, _primary = self.KINDS
+        model.survivable(single, {"AB"}, lambda: True)
+        model.clear_memo()
+        assert model.survivable(single, {"AB"}, lambda: False) is False
+        assert model.survival_hits == 0
 
 
 class TestKillSwitch:
