@@ -143,9 +143,10 @@ class MCFOracle(BaseOracle):
     exact (sub-1) λ, which no consumer of infeasible verdicts reads.
     Yes/no questions (:meth:`feasible`) go to
     :meth:`~repro.netflow.model.McfModel.feasible`, which may also answer
-    from an earlier solve's certificate.  Survivability verdicts are kept
-    in the model's memo, so every constraint over the same workload
-    content shares them (:meth:`~repro.netflow.model.McfModel.survivable`).
+    from an indexed earlier verdict or an earlier solve's certificate.
+    Survivability verdicts are kept in the model's memo, so every
+    constraint over the same workload content shares them
+    (:meth:`~repro.netflow.model.McfModel.survivable`).
     """
 
     name = "mcf"

@@ -96,7 +96,7 @@ def mcf_feasible(network: Network, tm: TrafficMatrix) -> bool:
     (:func:`repro.netflow.model.get_model`) so repeated yes/no queries on
     the same (topology, TM) never rebuild the LP, and trivially
     infeasible demand (egress/ingress exceeding a node's incident cut
-    capacity) or a subset an earlier solve's certificate settles is
+    capacity) or a subset an earlier verdict or certificate settles is
     answered without any solve at all.
     """
     from repro.netflow.model import get_model

@@ -29,11 +29,15 @@ end; ``tests/property/test_prop_warm_mcf.py`` asserts this over
 hundreds of seeded cases against the reference assembly kept in
 ``tests/netflow/reference_mcf.py``.
 
-Yes/no questions (:meth:`McfModel.feasible`) may skip the LP: every
-solve leaves a certificate — a feasible subset's routing, an infeasible
-one's capacity duals — that settles many nearby subsets with a margin
-the LP can never contradict.  ``solve()`` and ``verdict()`` never answer
-from a certificate, so every result they return is an LP result.
+Yes/no questions (:meth:`McfModel.feasible`) may skip the LP.  λ* only
+grows with the link set, so a subset containing one proven feasible with
+a margin is feasible, and a subset inside one proven infeasible with it
+is infeasible: the model indexes such robust verdicts.  Every solve also
+leaves a certificate — a feasible subset's routing, an infeasible one's
+capacity duals — that settles many nearby subsets with the same margin,
+which the LP can never contradict.  ``solve()`` and ``verdict()`` never
+answer from the index or a certificate, so every result they return is
+an LP result.
 The survivability constraints keep their verdicts in the same memo
 (:meth:`McfModel.survivable`): a verdict depends only on the model's
 content key, so every constraint over the same workload shares it.
@@ -185,6 +189,10 @@ CUT_INFEASIBLE = MCFResult(
 #: duals), most recent first.
 CERTIFICATES = 16
 
+#: Robust verdicts a model indexes per kind (minimal feasible subsets,
+#: maximal infeasible ones), most recently used first.
+INDEX_SIZE = 64
+
 #: What an int memo key's three low bits say its entry holds: the
 #: ``solve()`` result without or with routing detail, a certified yes/no
 #: verdict (a bool) that only ``feasible()`` reads, or a survivability
@@ -226,6 +234,27 @@ def _remember_certificate(store: list, certificate: tuple) -> None:
     del store[CERTIFICATES:]
 
 
+def _find_inside(chain: List[int], outside: int) -> bool:
+    """Does a mask of ``chain`` share no bit with ``outside``?  It moves to the front."""
+    for i, mask in enumerate(chain):
+        if not mask & outside:
+            chain.insert(0, chain.pop(i))
+            return True
+    return False
+
+
+def _add_minimal(chain: List[int], mask: int) -> None:
+    """Add ``mask`` to an antichain of minimal masks, most recent first.
+
+    A mask that contains a kept one adds nothing; otherwise the kept masks
+    that contain it go, and the oldest beyond :data:`INDEX_SIZE` too.
+    """
+    if _find_inside(chain, ~mask):
+        return
+    chain[:] = [mask] + [kept for kept in chain if mask & ~kept]
+    del chain[INDEX_SIZE:]
+
+
 class McfModel:
     """A reusable max-concurrent-flow LP over one (network, TM) pair.
 
@@ -251,10 +280,14 @@ class McfModel:
         self.cut_shortcircuits = 0
         self.certified = 0
         self.survival_hits = 0
+        #: Minimal subsets proven feasible with the margin (see _indexed).
+        self._robust_feasible: List[int] = []
+        #: Complements of maximal subsets proven infeasible with the margin.
+        self._robust_infeasible: List[int] = []
         #: (subset mask, per-arc load of a TM routing within the arc limits)
         self._routings: List[Tuple[int, np.ndarray]] = []
-        #: (subset mask, per-arc dual lengths ℓ, Σ d·dist_ℓ over the subset)
-        self._duals: List[Tuple[int, np.ndarray, float]] = []
+        #: (subset mask, per-arc dual lengths ℓ)
+        self._duals: List[Tuple[int, np.ndarray]] = []
 
         demands = [(pair, v) for pair, v in tm.pairs() if v > 0]
         self._empty_tm = not demands
@@ -306,8 +339,6 @@ class McfModel:
                 else:
                     self._arc_row_lo[a], self._arc_val_lo[a] = hi, -1.0
                     self._arc_row_hi[a], self._arc_val_hi[a] = ti, 1.0
-            self._arc_tail = np.asarray([t for t, _ in self._arc_ends], dtype=np.int64)
-            self._arc_head = np.asarray([h for _, h in self._arc_ends], dtype=np.int64)
             #: The load a certified routing may put on each arc.
             self._arc_limit = self._arc_cap * (1.0 - _CUT_MARGIN)
 
@@ -333,6 +364,17 @@ class McfModel:
             self._dem_src = np.asarray([src_idx[s] for (s, _), _ in demands], dtype=np.int64)
             self._dem_dst = np.asarray([node_idx[t] for (_, t), _ in demands], dtype=np.int64)
             self._dem_val = np.asarray([value for _, value in demands])
+            # Their shortest paths run on one graph entry per (tail, head)
+            # node pair, built once: each call writes only the entries'
+            # lengths (see _demand_distance).
+            n = self._n_nodes
+            pair = np.asarray([t * n + h for t, h in self._arc_ends], dtype=np.int64)
+            self._pair_order = np.argsort(pair, kind="stable")
+            pairs, self._pair_start = np.unique(pair[self._pair_order], return_index=True)
+            self._pair_graph = csr_matrix(
+                (np.zeros(pairs.size), pairs % n, np.searchsorted(pairs // n, np.arange(n + 1))),
+                shape=(n, n),
+            )
 
             # Per-link endpoint/capacity arrays for the cut short circuit,
             # and per-node egress/ingress demand totals.
@@ -373,27 +415,30 @@ class McfModel:
         or ingress demand exceeds the cut capacity of its incident kept
         links (with margin, so it can never contradict the LP).  Its
         answer is :data:`CUT_INFEASIBLE`, whose λ is 0 rather than the
-        exact (sub-1) λ, and it is not memoized.  Certificates never
-        answer here: every answer is an LP result or the cut answer.
+        exact (sub-1) λ, and it is not memoized.  Neither the index nor a
+        certificate answers here: every answer is an LP result or the cut
+        answer.
         """
         subset = self._subset(link_ids)
         result = self._recall(subset.mask << 3 | _PLAIN)
         if result is not None:
             return result
-        if self._cut_infeasible(subset.links):
-            self._count_cut()
+        if self._cut_refuses(subset):
             return CUT_INFEASIBLE
         # Via solve() (whose memo lookup misses again), so every LP solve
         # runs inside the method the benchmark times as netflow.lp_solve.
         return self.solve(subset)
 
     def feasible(self, link_ids: Optional[Iterable[str]] = None) -> bool:
-        """Can the subset carry the TM?  Memo, cut test, certificates, LP.
+        """Can the subset carry the TM?  Memo, index, cut test, certificates, LP.
 
-        The yes/no answer of :meth:`verdict`, which it may also prove
-        from an earlier solve's certificate (see :meth:`_certify`) instead
-        of solving.  A certified answer is memoized as a bare verdict
-        that ``solve()`` and ``verdict()`` never read.
+        The yes/no answer of :meth:`verdict`, which it may also infer from
+        an indexed robust verdict (see :meth:`_indexed`) or prove from an
+        earlier solve's certificate (see :meth:`_certify`) instead of
+        solving.  Both count as ``certified``.  A certificate's answer is
+        memoized as a bare verdict that ``solve()`` and ``verdict()`` never
+        read; an index answer is not memoized, since the index gives it
+        again for a few bit operations.
         """
         subset = self._subset(link_ids)
         key = subset.mask << 3
@@ -403,16 +448,18 @@ class McfModel:
         certified = self._recall(key | _CERTIFIED)
         if certified is not None:
             return certified
-        if self._cut_infeasible(subset.links):
-            self._count_cut()
-            return False
-        certified = self._certify(subset)
-        if certified is not None:
-            self.certified += 1
-            metrics().inc("mcf.certified")
+        certified = self._indexed(subset.mask)
+        if certified is None:
+            if self._cut_refuses(subset):
+                return False
+            certified = self._certify(subset)
+            if certified is None:
+                return self.solve(subset).feasible
             self._remember(key | _CERTIFIED, certified)
-            return certified
-        return self.solve(subset).feasible
+            self._index(subset.mask, certified)
+        self.certified += 1
+        metrics().inc("mcf.certified")
+        return certified
 
     def survivable(self, kind: int, link_ids: Iterable[str], decide: Callable[[], bool]) -> bool:
         """The subset's survivability verdict of ``kind``, decided once per model.
@@ -446,8 +493,10 @@ class McfModel:
 
     def clear_memo(self) -> None:
         """Forget every memoized answer, survivability verdicts included,
-        and every certificate."""
+        every indexed verdict and every certificate."""
         self._memo.clear()
+        self._robust_feasible.clear()
+        self._robust_infeasible.clear()
         self._routings.clear()
         self._duals.clear()
 
@@ -481,9 +530,14 @@ class McfModel:
         if len(self._memo) > MEMO_SIZE:
             self._memo.popitem(last=False)
 
-    def _count_cut(self) -> None:
+    def _cut_refuses(self, subset: _Subset) -> bool:
+        """The cut test; a refusal is counted and indexed."""
+        if not self._cut_infeasible(subset.links):
+            return False
         self.cut_shortcircuits += 1
         metrics().inc("mcf.cut_shortcircuits")
+        self._index(subset.mask, False)
+        return True
 
     def _cut_infeasible(self, links: np.ndarray) -> bool:
         if self._empty_tm:
@@ -496,6 +550,31 @@ class McfModel:
             np.any(node_cap < self._egress * margin - 1e-9)
             or np.any(node_cap < self._ingress * margin - 1e-9)
         )
+
+    # -- verdict index -----------------------------------------------------------
+
+    def _indexed(self, mask: int) -> Optional[bool]:
+        """The verdict an indexed robust verdict implies for ``mask``, or None.
+
+        λ* never falls when links are added.  So a subset T containing an S
+        with λ*(S) >= 1 / (1 - margin) is feasible, and a T inside an S
+        with λ*(S) <= 1 - margin is infeasible, both clear of the LP's
+        1 - 1e-7 threshold and HiGHS's 1e-7 tolerance, so the answer can
+        never contradict the LP.  The infeasible side keeps complements:
+        T lies inside S exactly when T shares no link with S's complement.
+        """
+        if _find_inside(self._robust_feasible, ~mask):
+            return True
+        if _find_inside(self._robust_infeasible, mask):
+            return False
+        return None
+
+    def _index(self, mask: int, feasible: bool) -> None:
+        """Index a verdict proven with the margin (see :meth:`_indexed`)."""
+        if feasible:
+            _add_minimal(self._robust_feasible, mask)
+        else:
+            _add_minimal(self._robust_infeasible, self._all.mask ^ mask)
 
     # -- certificates ----------------------------------------------------------
 
@@ -516,40 +595,29 @@ class McfModel:
           ℓ >= 0.  A demand pair T disconnects makes the sum infinite.
         """
         mask, arcs = subset.mask, np.repeat(subset.links, 2)
-        margin = 1.0 - _CUT_MARGIN
         # Nearest first: fewest links to reroute, fewest links outside S.
         routings = sorted(
             ((stored & ~mask).bit_count(), i) for i, (stored, _) in enumerate(self._routings)
         )
-        duals = sorted(
-            ((mask & ~stored).bit_count(), i) for i, (stored, _, _) in enumerate(self._duals)
-        )
-        if routings and routings[0][0] == 0:
-            return True  # T contains S: S's routing carries the TM as it is
-        for extra, i in duals:
-            # T within S: every distance only grows, so S's sum still bounds.
-            if extra == 0 and self._dual_weight(i, arcs) < margin * self._duals[i][2]:
-                return self._used_dual(i)
         for _dropped, i in routings:
             stored, loads = self._routings[i]
             loads = self._reroute(stored & ~mask, loads, arcs)
             if loads is not None:
                 _remember_certificate(self._routings, (mask, loads))
                 return True
+        duals = sorted(
+            ((mask & ~stored).bit_count(), i) for i, (stored, _) in enumerate(self._duals)
+        )
         for _extra, i in duals:
-            lengths = self._duals[i][1]
-            if self._dual_weight(i, arcs) < margin * self._demand_distance(arcs, lengths):
-                return self._used_dual(i)
+            if self._refutes(arcs, self._duals[i][1]):
+                self._duals.insert(0, self._duals.pop(i))
+                return False
         return None
 
-    def _dual_weight(self, i: int, arcs: np.ndarray) -> float:
-        """Σ_{a∈T} cap_a·ℓ_a for stored dual ``i``."""
-        return float(np.dot(self._arc_cap[arcs], self._duals[i][1][arcs]))
-
-    def _used_dual(self, i: int) -> bool:
-        """Move dual ``i`` to the front of its store; its verdict: infeasible."""
-        self._duals.insert(0, self._duals.pop(i))
-        return False
+    def _refutes(self, arcs: np.ndarray, lengths: np.ndarray) -> bool:
+        """Do dual ``lengths`` prove the kept ``arcs`` infeasible (see :meth:`_certify`)?"""
+        weight = np.dot(self._arc_cap[arcs], lengths[arcs])
+        return weight < (1.0 - _CUT_MARGIN) * self._demand_distance(arcs, lengths)
 
     def _reroute(self, dropped: int, loads: np.ndarray, arcs: np.ndarray) -> Optional[np.ndarray]:
         """``loads`` with every dropped link's arc load moved onto kept arcs, or None."""
@@ -595,43 +663,36 @@ class McfModel:
     def _demand_distance(self, arcs: np.ndarray, lengths: np.ndarray) -> float:
         """Σ_{s,t} d_st·dist(s, t) over the ``arcs`` kept, arc a ``lengths[a]`` long.
 
-        Infinite when a demand pair is disconnected.  The graph is handed
-        to scipy as CSR with one entry per (tail, head): the shortest of
-        parallel arcs (a CSR matrix would *sum* duplicate entries), and
-        zero-length arcs as explicit zeros, which sparse input keeps as
-        edges (a dense matrix would read 0 as "no edge").
+        Infinite when a demand pair is disconnected.  Each node pair's
+        graph entry is its shortest kept arc (a CSR matrix would *sum*
+        duplicate entries), or ∞ when it keeps none; zero-length arcs stay
+        explicit zeros, which sparse input keeps as edges (a dense matrix
+        would read 0 as "no edge").
         """
-        n = self._n_nodes
-        pair = self._arc_tail[arcs] * n + self._arc_head[arcs]
-        length = lengths[arcs]
-        order = np.lexsort((length, pair))
-        pair, length = pair[order], length[order]
-        first = np.ones(pair.size, dtype=bool)
-        first[1:] = pair[1:] != pair[:-1]
-        pair, length = pair[first], length[first]
-        indptr = np.searchsorted(pair // n, np.arange(n + 1))
-        graph = csr_matrix((length, pair % n, indptr), shape=(n, n))
-        dist = dijkstra(graph, directed=True, indices=self._src_nodes)
+        kept = np.where(arcs, lengths, np.inf)[self._pair_order]
+        self._pair_graph.data = np.minimum.reduceat(kept, self._pair_start)
+        dist = dijkstra(self._pair_graph, directed=True, indices=self._src_nodes)
         return float(np.dot(self._dem_val, dist[self._dem_src, self._dem_dst]))
 
-    def _learn(self, subset: _Subset, arc_positions: np.ndarray, x, row_dual, feasible: bool) -> None:
-        """Keep a certificate from one LP solve (see :meth:`_certify`)."""
+    def _learn(self, subset: _Subset, arc_positions: np.ndarray, x, row_dual) -> None:
+        """Index a robust verdict and keep a certificate from one LP solve."""
         if x is None:
             return
         n_arcs = arc_positions.size
         lam = float(x[-1])
-        if lam >= 1.0 + 2.0 * _CUT_MARGIN:
-            loads = np.zeros(self._arc_cap.size)
-            loads[arc_positions] = x[:-1].reshape(n_arcs, self._n_src).sum(axis=1) / lam
-            if np.all(loads <= self._arc_limit):
-                _remember_certificate(self._routings, (subset.mask, loads))
-        elif not feasible and row_dual is not None:
+        if lam >= 1.0 / (1.0 - _CUT_MARGIN):
+            self._index(subset.mask, True)
+            if lam >= 1.0 + 2.0 * _CUT_MARGIN:
+                loads = np.zeros(self._arc_cap.size)
+                loads[arc_positions] = x[:-1].reshape(n_arcs, self._n_src).sum(axis=1) / lam
+                if np.all(loads <= self._arc_limit):
+                    _remember_certificate(self._routings, (subset.mask, loads))
+        elif lam <= 1.0 - _CUT_MARGIN:
+            self._index(subset.mask, False)
             lengths = np.zeros(self._arc_cap.size)
             lengths[arc_positions] = np.maximum(-row_dual[:n_arcs], 0.0)
-            arcs = np.repeat(subset.links, 2)
-            distance = self._demand_distance(arcs, lengths)
-            if np.dot(self._arc_cap[arcs], lengths[arcs]) < (1.0 - _CUT_MARGIN) * distance:
-                _remember_certificate(self._duals, (subset.mask, lengths, distance))
+            if self._refutes(np.repeat(subset.links, 2), lengths):
+                _remember_certificate(self._duals, (subset.mask, lengths))
 
     # -- LP --------------------------------------------------------------------
 
@@ -719,7 +780,7 @@ class McfModel:
 
         arcs = [self._arc_meta[a] for a in arc_positions]
         result = _finish_result(x, status, message, arcs, self._sources, keep_flows)
-        self._learn(subset, arc_positions, x, res.get("row_dual"), result.feasible)
+        self._learn(subset, arc_positions, x, res.get("row_dual"))
         return result
 
 

@@ -207,6 +207,73 @@ class TestSurvivabilityVerdicts:
         assert model.survival_hits == 0
 
 
+class TestVerdictIndex:
+    """Robust verdicts answer containing and contained subsets (``_indexed``)."""
+
+    def test_subset_of_a_cut_refused_set_comes_from_the_index(self):
+        net = diamond_network()
+        tm = TrafficMatrix.from_dict(["A", "B", "C", "D"], {("A", "C"): 30.0})
+        model = McfModel(net, tm)
+        assert not model.feasible({"AB", "DA", "AC"})  # C keeps only AC: cut 4 < 30
+        assert not model.feasible({"AB", "AC"})  # inside it: no second cut test
+        assert (model.cut_shortcircuits, model.certified, model.solves) == (1, 1, 0)
+        assert not reference_max_concurrent_flow(
+            net.restricted_to_links({"AB", "AC"}), tm
+        ).feasible
+
+    @pytest.mark.parametrize("capacity", [4.0 * (1.0 - 5e-5), 4.0, 4.0 * (1.0 + 5e-5)])
+    def test_lp_verdict_inside_the_margin_band_is_not_indexed(self, capacity):
+        """λ = capacity / demand lies within the margin of 1, either side."""
+        net = Network(name="band")
+        for n in ("A", "B", "C", "D"):
+            net.add_node(Node(id=n))
+        net.add_link(Link(id="AB", u="A", v="B", capacity_gbps=capacity, length_km=1.0))
+        net.add_link(Link(id="CD", u="C", v="D", capacity_gbps=1.0, length_km=1.0))
+        tm = TrafficMatrix.from_dict(["A", "B", "C", "D"], {("A", "B"): 4.0})
+        model = McfModel(net, tm)
+        margin = model_module._CUT_MARGIN
+        assert 1.0 - margin < model.solve({"AB"}).lam < 1.0 / (1.0 - margin)
+        assert model._robust_feasible == [] and model._robust_infeasible == []
+        # So a superset is not inferred from it: the LP decides.
+        assert model.feasible(net.link_ids) == (capacity >= 4.0)
+        assert (model.solves, model.certified) == (2, 0)
+
+    def test_antichains_keep_only_the_strongest_verdicts(self):
+        model = McfModel(diamond_network(), diamond_tm())
+        ring = model._subset({"AB", "BC", "CD", "DA"}).mask
+        full, path, ab, bc = (
+            model._subset(links).mask
+            for links in (model.network.link_ids, {"AB", "BC"}, {"AB"}, {"BC"})
+        )
+        model._index(full, True)
+        model._index(ring, True)  # a smaller feasible set evicts its superset
+        model._index(full, True)  # implied by the ring: adds nothing
+        assert model._robust_feasible == [ring]
+        model._index(ab, False)
+        model._index(bc, False)
+        model._index(path, False)  # a larger infeasible set evicts its subsets
+        assert model._robust_infeasible == [full ^ path]
+        assert model._indexed(full) is True
+        assert model._indexed(ab) is False
+        assert model._indexed(ab | model._subset({"CD"}).mask) is None
+
+    def test_bound_evicts_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(model_module, "INDEX_SIZE", 2)
+        model = McfModel(diamond_network(), diamond_tm())
+        no_ac, no_cd, no_ab = (
+            model._subset(set(model.network.link_ids) - {lid}).mask
+            for lid in ("AC", "CD", "AB")
+        )
+        model._index(no_ac, True)
+        model._index(no_cd, True)
+        assert model._indexed(no_ac) is True  # used: now the most recent
+        model._index(no_ab, True)  # evicts no_cd, the least recently used
+        assert model._robust_feasible == [no_ab, no_ac]
+        model._index(model._subset({"AB"}).mask, False)
+        model.clear_memo()
+        assert model._robust_feasible == [] and model._robust_infeasible == []
+
+
 class TestKillSwitch:
     """There is none: every solve takes the direct HiGHS path."""
 

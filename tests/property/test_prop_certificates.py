@@ -6,7 +6,9 @@ the new subset proves "feasible", stored capacity duals bound λ* below
 1 and prove "infeasible".  Both are sound only if the routing repair
 keeps every arc within its limit and the dual bound's shortest-path
 distances are exact (zero-length arcs are edges, parallel arcs count
-with the shortest one).  These tests generate multigraphs that stress
+with the shortest one).  It may also answer from its verdict index: a
+subset containing one proven feasible with margin, or inside one proven
+infeasible with it.  These tests generate multigraphs that stress
 exactly that: parallel links, equal capacities (so equal duals),
 zero-length links, isolated nodes whose demand cannot arrive, and walk
 drop sequences and random subsets through one model, comparing every
@@ -143,6 +145,53 @@ class TestCertifiedAnswersMatchTheLp:
             assert result.link_loads == reference.link_loads
         assert oracle.evaluations == len(order) + 1
         assert oracle.cache_hits == 1
+
+
+class _CountingModel(McfModel):
+    """A model that counts the answers its verdict index gives."""
+
+    def __init__(self, network, tm):
+        super().__init__(network, tm)
+        self.indexed = 0
+
+    def _indexed(self, mask):
+        verdict = super()._indexed(mask)
+        self.indexed += verdict is not None
+        return verdict
+
+
+class TestIndexedAnswersMatchTheLp:
+    def test_selection_and_leave_one_out_walks(self):
+        """Drop walks like a VCG clear's, through one model: every answer,
+        inferred from the verdict index or not, is the LP's verdict."""
+        inferred = []
+
+        @SETTINGS
+        @given(workloads())
+        def walks(workload):
+            net, tm, order, _subsets = workload
+            model = _CountingModel(net, tm)
+            verdicts = {}
+
+            def check(subset):
+                if subset not in verdicts:
+                    verdicts[subset] = _reference(net, tm, subset).feasible
+                verdict = model.feasible(subset)
+                assert verdict == verdicts[subset], sorted(subset)
+                return verdict
+
+            # The selection over every link, then two leave-one-out walks.
+            for left_out in [None] + order[:2]:
+                current = frozenset(order) - {left_out}
+                if not check(current):
+                    continue
+                for lid in order:
+                    if lid in current and check(current - {lid}):
+                        current -= {lid}
+            inferred.append(model.indexed)
+
+        walks()
+        assert sum(inferred) > 0  # the index answered, so its answers were checked
 
 
 def _network(links, nodes=("A", "B", "C", "D")):
