@@ -8,13 +8,21 @@ is exactly a fixed-charge multi-commodity-flow MILP:
 
 - binary y_l per offered link (lease it or not), cost c_l·y_l;
 - continuous arc flows x[a, s] (commodities aggregated by source);
-- conservation at every node, capacity Σ_s x[a, s] ≤ cap_a · y_link(a).
+- conservation at every node, capacity Σ_s x[a, s] ≤ cap_a · y_link(a);
+- one demand-connectivity row Σ_l y_l ≥ |E| − k, valid for every
+  feasible selection (argued where :func:`exact_selection` builds it).
 
-HiGHS (via :func:`scipy.optimize.milp`) solves benchmark-scale instances
-in seconds, which makes this the *reference* engine: the heuristics in
+HiGHS (via :func:`scipy.optimize.milp`) closes the 22-link micro
+scenario at or near the root node: over seeds 0-15, one VCG clear (the
+selection and its three leave-one-out selections) explores 2-30
+branch-and-bound nodes and spends 0.14-0.67 s in HiGHS on a 2-vCPU Xeon
+VM.  That makes this the *reference* engine: the heuristics in
 :mod:`repro.auction.selection` are measured against it in the ablation
 benchmarks, and the small textbook instances in the test suite get true
-optima (so the VCG payment identities hold exactly).
+optima (so the VCG payment identities hold exactly).  On the 99-link
+tiny zoos one solve takes tens of seconds (zoo #131704 at load 0.02:
+40 s to a proven optimum), so the benchmarks there run it with a time
+limit.
 
 Survivability constraints (#2/#3) would need scenario-expanded flow
 copies — quadratic blow-up — so this engine deliberately supports only
@@ -28,6 +36,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import LinearConstraint, milp
 from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from repro.exceptions import (
     AuctionError,
@@ -72,7 +81,8 @@ def exact_selection(
 
     Fixed-charge network design is NP-hard; beyond ~50 links expect to
     need a ``time_limit_s`` and/or ``mip_rel_gap``, in which case the
-    result is the incumbent (best found), not a certified optimum.
+    result is the incumbent (best found), not a certified optimum; every
+    incumbent accepted at the time limit counts as ``milp.time_limited``.
     Raises :class:`NoFeasibleSelectionError` when no subset of the offered
     links can carry the TM, and :class:`SolverTimeoutError` when the time
     limit fired before any incumbent was found.
@@ -145,6 +155,23 @@ def exact_selection(
         a_cap = coo_matrix((vals, (rows, cols)), shape=(n_arcs, n_vars))
         capacity = LinearConstraint(a_cap.tocsc(), -np.inf, np.zeros(n_arcs))
 
+        # Demand connectivity: a feasible selection joins every demand pair,
+        # and each leased link merges at most two components of the leased
+        # graph, so it leases at least |E| - k links (E the demand endpoints,
+        # k the components of the undirected demand graph over E).  The
+        # capacity rows alone let the relaxation lease ~flow/cap of a link.
+        ends = sorted({node for pair, _v in demands for node in pair})
+        end_idx = {n: i for i, n in enumerate(ends)}
+        demand_graph = coo_matrix((
+            np.ones(len(demands)),
+            ([end_idx[src] for (src, _), _ in demands],
+             [end_idx[dst] for (_, dst), _ in demands]),
+        ), shape=(len(ends), len(ends)))
+        k = connected_components(demand_graph, directed=False, return_labels=False)
+        lease = np.zeros((1, n_vars))
+        lease[0, n_flow:] = 1.0
+        connectivity = LinearConstraint(lease, len(ends) - k, np.inf)
+
         c = np.zeros(n_vars)
         for lid, li in link_idx.items():
             c[n_flow + li] = prices[lid]
@@ -165,14 +192,16 @@ def exact_selection(
         metrics().inc("milp.solves")
         res = milp(
             c,
-            constraints=[conservation, capacity],
+            constraints=[conservation, capacity, connectivity],
             integrality=integrality,
             bounds=Bounds(lower, upper),
             options=options,
         )
-    # status 1 = iteration/time limit; accept the incumbent if one exists.
+    # status 1 = iteration/time limit; accept the incumbent if one exists,
+    # and count it: VCG pivots priced off a selection that is not a proven
+    # optimum lose the exact mechanism's guarantees.
     if res.status == 1 and res.x is not None:
-        pass
+        metrics().inc("milp.time_limited")
     elif res.status == 1:
         # The limit fired before HiGHS found any incumbent: the instance
         # may be perfectly feasible, we just ran out of budget.

@@ -557,12 +557,12 @@ def micro_scenario(
     shared-risk groups, and an external-ISP shadow ring of virtual links
     (``ext``, contract-priced well above the BPs) so the VCG
     leave-one-out selections stay feasible — the paper's standing
-    assumption that A(OL − L_α) is nonempty.  Small enough that the
-    exact MILP clears in milliseconds — so campaigns default to the real
-    primary engine and still reproduce byte-identically — while every
-    fault class has a meaningful target.  ``seed`` perturbs per-link
-    costs only; the topology is fixed (and memoized per process, see
-    :func:`_micro_base`).
+    assumption that A(OL − L_α) is nonempty.  Small enough that one
+    exact MILP clear (four solves) takes 0.15-0.7 s on a 2-vCPU Xeon VM —
+    so campaigns default to the real primary engine and still reproduce
+    byte-identically — while every fault class has a meaningful target.
+    ``seed`` perturbs per-link costs only; the topology is fixed (and
+    memoized per process, see :func:`_micro_base`).
     """
     from repro.auction.provider import ExternalTransitContract, default_monthly_cost
 

@@ -202,6 +202,21 @@ class TestMilpTimeout:
         x = None  # ... before any incumbent was found
         message = "time limit reached"
 
+    class _IncumbentResult(_StalledResult):
+        """The limit fired after HiGHS found an incumbent ``x``."""
+
+        def __init__(self, x):
+            self.x = x
+
+    @staticmethod
+    def _registry(monkeypatch):
+        import repro.auction.milp as milp_mod
+        from repro.obs.registry import MetricsRegistry
+
+        registry = MetricsRegistry()
+        monkeypatch.setattr(milp_mod, "metrics", lambda: registry)
+        return registry
+
     def test_no_incumbent_raises_solver_timeout(self, setup, monkeypatch):
         import repro.auction.milp as milp_mod
         from repro.exceptions import SolverTimeoutError
@@ -249,3 +264,40 @@ class TestMilpTimeout:
             offers, constraint, method="milp", milp_time_limit_s=60.0
         )
         assert outcome.selected == frozenset({"AC"})
+
+    def test_incumbent_at_limit_is_returned_and_counted(self, setup, monkeypatch):
+        import repro.auction.milp as milp_mod
+
+        registry = self._registry(monkeypatch)
+        real = milp_mod.milp
+        monkeypatch.setattr(
+            milp_mod, "milp", lambda *a, **k: self._IncumbentResult(real(*a, **k).x)
+        )
+        _net, offers, constraint = setup
+        outcome = select_links(
+            offers, constraint, method="milp", milp_time_limit_s=0.001
+        )
+        assert outcome.selected == frozenset({"AC"})
+        assert registry.counter("milp.solves") == 1
+        assert registry.counter("milp.time_limited") == 1
+
+    def test_no_incumbent_is_not_counted_as_time_limited(self, setup, monkeypatch):
+        import repro.auction.milp as milp_mod
+        from repro.exceptions import SolverTimeoutError
+
+        registry = self._registry(monkeypatch)
+        monkeypatch.setattr(
+            milp_mod, "milp", lambda *a, **k: self._StalledResult()
+        )
+        _net, offers, constraint = setup
+        with pytest.raises(SolverTimeoutError):
+            select_links(offers, constraint, method="milp", milp_time_limit_s=0.001)
+        assert registry.counter("milp.solves") == 1
+        assert registry.counter("milp.time_limited") == 0
+
+    def test_proven_optimum_is_not_counted_as_time_limited(self, setup, monkeypatch):
+        registry = self._registry(monkeypatch)
+        _net, offers, constraint = setup
+        select_links(offers, constraint, method="milp", milp_time_limit_s=60.0)
+        assert registry.counter("milp.solves") == 1
+        assert registry.counter("milp.time_limited") == 0

@@ -30,13 +30,17 @@ EXACT = AuctionConfig(method="milp")
 
 
 @st.composite
-def auction_instances(draw, redundant_backbone=False):
-    """3-4 nodes, 3-7 links across 2-3 providers, one demand.
+def auction_instances(draw, redundant_backbone=False, random_demands=False):
+    """3-4 nodes, 3-7 links across 2-3 providers, one demand n0 → n_last.
 
     With ``redundant_backbone`` every backbone hop gets a second, parallel
     link owned by the next provider round-robin.  Then no provider owns a
     hop's only link, and since every capacity (>= 2.0) exceeds the demand
     (<= 1.5), every leave-one-out clear is feasible by construction.
+
+    With ``random_demands`` the TM instead holds 1-3 demands between
+    random distinct nodes, so some nodes carry transit only and the
+    demand graph is sometimes disconnected.
     """
     n_nodes = draw(st.integers(min_value=3, max_value=4))
     names = [f"n{i}" for i in range(n_nodes)]
@@ -78,8 +82,16 @@ def auction_instances(draw, redundant_backbone=False):
             Offer(provider=provider, links=links_by_provider[provider],
                   bid=cost, true_cost=cost)
         )
-    demand = draw(st.floats(min_value=0.5, max_value=1.5))
-    tm = TrafficMatrix.from_dict(names, {(names[0], names[-1]): demand})
+    if random_demands:
+        demands = {}
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            src, dst = draw(st.lists(
+                st.sampled_from(names), min_size=2, max_size=2, unique=True
+            ))
+            demands[(src, dst)] = draw(st.floats(min_value=0.5, max_value=1.5))
+    else:
+        demands = {(names[0], names[-1]): draw(st.floats(min_value=0.5, max_value=1.5))}
+    tm = TrafficMatrix.from_dict(names, demands)
     return net, offers, tm
 
 
@@ -104,9 +116,8 @@ def brute_force_cost(net, offers, tm):
 
 
 class TestExactOptimality:
-    @given(auction_instances())
-    @settings(max_examples=30, deadline=None)
-    def test_milp_matches_brute_force(self, instance):
+    @staticmethod
+    def _matches_brute_force(instance):
         net, offers, tm = instance
         truth = brute_force_cost(net, offers, tm)
         if truth is None:
@@ -115,6 +126,18 @@ class TestExactOptimality:
             return
         _links, cost = exact_selection(offers, net, tm)
         assert cost == pytest.approx(truth, rel=1e-6, abs=1e-6)
+
+    @given(auction_instances())
+    @settings(max_examples=30, deadline=None)
+    def test_milp_matches_brute_force(self, instance):
+        self._matches_brute_force(instance)
+
+    @given(auction_instances(random_demands=True))
+    @settings(max_examples=30, deadline=None)
+    def test_milp_matches_brute_force_on_random_demands(self, instance):
+        # The demand-connectivity row's right-hand side |E| - k varies here:
+        # transit-only nodes, and demand graphs with several components.
+        self._matches_brute_force(instance)
 
 
 class TestVCGProperties:
